@@ -29,13 +29,15 @@
 ///       Regenerates the golden conformance suite: the committed feature
 ///       streams, the expected decision sequences of all seven
 ///       mechanisms (including the lease-step cases replaying arbiter
-///       revocations through a mechanism), and the lease grant/revoke
-///       trace of the canonical arbiter colocation scenario. Run after
-///       an intentional mechanism or arbiter change, then review the
-///       diffs like any other code change.
+///       revocations through a mechanism), the lease grant/revoke
+///       trace of the canonical arbiter colocation scenario, and the
+///       colocation simulator's scenario goldens (tests/ColocationGolden.h).
+///       Run after an intentional mechanism, arbiter or simulator
+///       change, then review the diffs like any other code change.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ColocationGolden.h"
 #include "arbiter/Scenario.h"
 #include "core/Replay.h"
 #include "mechanisms/Factory.h"
@@ -663,6 +665,30 @@ int cmdRegen(const std::vector<std::string> &Args) {
     writeTraceJsonl(Leases, OS);
     std::printf("leases   %-22s %4zu records -> %s\n", Scenario.Name.c_str(),
                 Leases.size(), Path.c_str());
+  }
+
+  // And the colocation simulator's scenario goldens: counters,
+  // allocation timeline, protocol journal and canonicalized trace.
+  for (colocation_golden::Scenario S : colocation_golden::allScenarios()) {
+    uint64_t Dropped = 0;
+    const std::string Text = colocation_golden::goldenText(S, &Dropped);
+    if (Dropped) {
+      std::fprintf(stderr,
+                   "dope_trace: %s lost %llu trace records — refusing to "
+                   "bless a truncated trace as golden\n",
+                   colocation_golden::scenarioName(S),
+                   static_cast<unsigned long long>(Dropped));
+      return 1;
+    }
+    const std::string Path = Dir + "/" + colocation_golden::goldenFile(S);
+    std::ofstream OS(Path);
+    if (!OS) {
+      std::fprintf(stderr, "dope_trace: cannot open '%s'\n", Path.c_str());
+      return 1;
+    }
+    OS << Text;
+    std::printf("coloc    %-22s %7zu bytes -> %s\n",
+                colocation_golden::scenarioName(S), Text.size(), Path.c_str());
   }
   return 0;
 }
