@@ -1,4 +1,4 @@
-//===- bench/ext_scale.cpp - Sharded engine scaling acceptance -------------===//
+//===- bench/ext_scale.cpp - Platform-scale simulator acceptance ----------===//
 //
 // Part of the DoPE reproduction project.
 // SPDX-License-Identifier: MIT
@@ -6,34 +6,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scaling acceptance for the sharded simulation core: a platform-sized
-/// colocation scenario (120 tenants, millions of simulated events) run
-/// on the conservative time-barrier engine at 1/2/4/8 shards, plus a
-/// pipeline replica fleet sweep. Two claims are checked:
+/// Scale acceptance for the simulators: a platform-sized colocation
+/// scenario (120 tenants, over a million simulated events) and a
+/// pipeline replica fleet fanned out across host threads. Checked:
 ///
-///   1. Determinism — every sharded run must be *bit-identical* to the
-///      single-shard oracle: per-tenant stats, fairness, allocation
-///      timeline, protocol journal, and the work-proportional simulated
-///      event count. This is a hard gate; a miss fails the binary.
+///   1. The platform run simulates at least 1M events (200k under
+///      --quick) and a repeat run is bit-identical: per-tenant stats,
+///      fairness, allocation timeline, protocol journal and the
+///      work-proportional simulated event count. Events per wall second
+///      is reported; bench/perf_suite gates the simulator's rate.
 ///
-///   2. Scaling — events per wall second at each shard count. On a
-///      multi-core runner the 8-shard rate should clearly beat the
-///      1-shard rate; the rates are reported here and gated
-///      directionally against the committed baseline by the perf suite
-///      (a 1-core CI runner legitimately sees no speedup, so raw
-///      speedup is informational, not a local pass/fail).
+///   2. The fleet splits a ferret batch across 2/4/8 independent
+///      PipelineSim replicas (replica r runs seed + 0x9e37 * r). The
+///      replicas run as independent jobs through parallelSweep, one
+///      worker per hardware context; the fleet must conserve the batch
+///      and match a one-worker repeat run exactly.
 ///
-/// --shards N restricts the sweep to one shard count (plus the oracle
-/// for the determinism diff); --quick shrinks the scenario for smoke
-/// runs (24 tenants).
+/// --quick shrinks both (40 tenants; 4000 items over 2/4 replicas).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
+#include "ParallelSweep.h"
 
 #include "apps/PipelineApps.h"
 #include "sim/ColocationSim.h"
-#include "sim/ShardedPipeline.h"
+#include "sim/PipelineSim.h"
 
 #include <chrono>
 #include <cmath>
@@ -54,8 +52,7 @@ double secondsSince(SteadyClock::time_point Start) {
 
 /// A platform-sized mixed fleet: every third tenant is a
 /// latency-sensitive nested-parallel frontend, the rest are
-/// throughput-goal batch pipelines with staggered arrival rates so no
-/// two shards own identical work.
+/// throughput-goal batch pipelines with staggered arrival rates.
 std::vector<ColocationTenantSpec> fleetTenants(unsigned Count) {
   std::vector<ColocationTenantSpec> Specs;
   Specs.reserve(Count);
@@ -88,16 +85,14 @@ std::vector<ColocationTenantSpec> fleetTenants(unsigned Count) {
   return Specs;
 }
 
-ColocationSimResult runFleet(unsigned Tenants, double Duration,
-                             unsigned Shards, uint64_t Seed,
-                             double &WallSeconds) {
+ColocationSimResult runPlatform(unsigned Tenants, double Duration,
+                                uint64_t Seed, double &WallSeconds) {
   ColocationSimOptions Opts;
   Opts.Contexts = 2 * Tenants;
   Opts.Seed = Seed;
   Opts.DurationSeconds = Duration;
   Opts.StepSeconds = 0.05;
   Opts.WarmupSeconds = 4.0;
-  Opts.Shards = Shards;
   Opts.Policy = ColocationPolicy::Arbiter;
   Opts.Arbiter.EpochSeconds = 2.0;
   Opts.Arbiter.LeaseTtlSeconds = 5.0;
@@ -124,156 +119,153 @@ bool sameRecord(const TraceRecord &A, const TraceRecord &B) {
          A.A == B.A && A.B == B.B && A.Detail == B.Detail;
 }
 
-/// Bit-exact comparison of everything the colocation sim reports. Any
-/// difference means the sharded engine let thread interleaving leak
-/// into simulation state.
-bool identicalResults(const ColocationSimResult &Oracle,
-                      const ColocationSimResult &Sharded) {
-  if (Oracle.Tenants.size() != Sharded.Tenants.size() ||
-      Oracle.LeaseChanges != Sharded.LeaseChanges ||
-      Oracle.SimulatedEvents != Sharded.SimulatedEvents ||
-      Oracle.Fairness.AggregateAttainment !=
-          Sharded.Fairness.AggregateAttainment ||
-      Oracle.Fairness.MinAttainment != Sharded.Fairness.MinAttainment ||
-      Oracle.Fairness.JainIndex != Sharded.Fairness.JainIndex)
+/// Bit-exact comparison of everything the colocation sim reports.
+bool identicalResults(const ColocationSimResult &First,
+                      const ColocationSimResult &Repeat) {
+  if (First.Tenants.size() != Repeat.Tenants.size() ||
+      First.LeaseChanges != Repeat.LeaseChanges ||
+      First.SimulatedEvents != Repeat.SimulatedEvents ||
+      First.Fairness.AggregateAttainment !=
+          Repeat.Fairness.AggregateAttainment ||
+      First.Fairness.MinAttainment != Repeat.Fairness.MinAttainment ||
+      First.Fairness.JainIndex != Repeat.Fairness.JainIndex)
     return false;
-  for (size_t I = 0; I != Oracle.Tenants.size(); ++I)
-    if (!sameStats(Oracle.Tenants[I], Sharded.Tenants[I]))
+  for (size_t I = 0; I != First.Tenants.size(); ++I)
+    if (!sameStats(First.Tenants[I], Repeat.Tenants[I]))
       return false;
-  if (Oracle.AllocationTimeline.size() != Sharded.AllocationTimeline.size())
+  if (First.AllocationTimeline.size() != Repeat.AllocationTimeline.size())
     return false;
-  for (size_t I = 0; I != Oracle.AllocationTimeline.size(); ++I) {
-    const AllocationSample &A = Oracle.AllocationTimeline[I];
-    const AllocationSample &B = Sharded.AllocationTimeline[I];
+  for (size_t I = 0; I != First.AllocationTimeline.size(); ++I) {
+    const AllocationSample &A = First.AllocationTimeline[I];
+    const AllocationSample &B = Repeat.AllocationTimeline[I];
     if (A.Time != B.Time || A.Granted != B.Granted)
       return false;
   }
-  if (Oracle.ProtocolJournal.size() != Sharded.ProtocolJournal.size())
+  if (First.ProtocolJournal.size() != Repeat.ProtocolJournal.size())
     return false;
-  for (size_t I = 0; I != Oracle.ProtocolJournal.size(); ++I)
-    if (!sameRecord(Oracle.ProtocolJournal[I], Sharded.ProtocolJournal[I]))
+  for (size_t I = 0; I != First.ProtocolJournal.size(); ++I)
+    if (!sameRecord(First.ProtocolJournal[I], Repeat.ProtocolJournal[I]))
       return false;
   return true;
 }
 
-PipelineFleetResult runPipelines(unsigned Shards, uint64_t Items,
-                                 uint64_t Seed, double &WallSeconds) {
-  PipelineFleetOptions Opts;
-  Opts.Shards = Shards;
-  Opts.App = makeFerretApp();
-  Opts.Base.Seed = Seed;
-  Opts.Base.NumItems = Items;
-  Opts.Base.Contexts = 24;
-  Opts.InitialExtents = {1, 2, 8, 2, 4, 1};
+struct FleetResult {
+  std::vector<PipelineSimResult> Replicas;
+  uint64_t ItemsCompleted = 0;
+  double P95ResponseSeconds = 0.0; // worst replica: the fleet-level tail
+};
+
+/// Runs a ferret batch of \p Items split across \p Replicas independent
+/// PipelineSim replicas on \p Workers threads. Replica r runs seed
+/// Seed + 0x9e37 * r with an equal share of the items (the first
+/// Items % Replicas replicas take one more).
+FleetResult runPipelines(unsigned Replicas, uint64_t Items, uint64_t Seed,
+                         unsigned Workers, double &WallSeconds) {
+  const PipelineAppModel App = makeFerretApp();
+  const std::vector<unsigned> InitialExtents = {1, 2, 8, 2, 4, 1};
   const auto Start = SteadyClock::now();
-  PipelineFleetResult R = runPipelineFleet(Opts);
+  FleetResult Fleet;
+  Fleet.Replicas = parallelSweep<PipelineSimResult>(
+      Replicas, Workers, [&](size_t R) {
+        PipelineSimOptions Opts;
+        Opts.Seed = Seed + 0x9e37 * static_cast<uint64_t>(R);
+        Opts.Contexts = 24;
+        Opts.NumItems = Items / Replicas + (R < Items % Replicas ? 1 : 0);
+        PipelineSim Sim(App, Opts);
+        return Sim.run(nullptr, InitialExtents);
+      });
   WallSeconds = secondsSince(Start);
-  return R;
+  for (const PipelineSimResult &R : Fleet.Replicas) {
+    Fleet.ItemsCompleted += R.ItemsCompleted;
+    Fleet.P95ResponseSeconds = std::max(Fleet.P95ResponseSeconds,
+                                        R.Stats.responsePercentile(0.95));
+  }
+  return Fleet;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   OptionParser Options(
-      "Sharded-engine scaling acceptance: a 120-tenant colocation "
-      "platform and a pipeline replica fleet swept over shard counts, "
-      "with every sharded run checked bit-identical to the single-shard "
-      "oracle");
+      "Platform-scale simulator acceptance: a 120-tenant colocation "
+      "platform checked identical across repeat runs, and a pipeline "
+      "replica fleet fanned out across host threads");
   addCommonOptions(Options);
-  Options.addInt("shards", 0,
-                 "run only this shard count against the oracle "
-                 "(0 = full 1/2/4/8 sweep)");
   parseOrExit(Options, Argc, Argv);
 
   const bool Csv = Options.getFlag("csv");
   const bool Quick = Options.getFlag("quick");
   const uint64_t Seed = static_cast<uint64_t>(Options.getInt("seed"));
-  const unsigned Only = static_cast<unsigned>(Options.getInt("shards"));
 
   const unsigned Tenants = Quick ? 40 : 120;
   const double Duration = Quick ? 80.0 : 120.0;
   const uint64_t FleetItems = Quick ? 4000 : 40000;
-
-  std::vector<unsigned> Sweep;
-  if (Only > 0)
-    Sweep = {Only};
-  else if (Quick)
-    Sweep = {2, 4};
-  else
-    Sweep = {2, 4, 8};
+  const std::vector<unsigned> FleetSizes =
+      Quick ? std::vector<unsigned>{2, 4} : std::vector<unsigned>{2, 4, 8};
 
   bool Ok = true;
 
-  // Colocation platform: oracle first, then the sharded sweep.
-  double OracleWall = 0.0;
-  const ColocationSimResult Oracle =
-      runFleet(Tenants, Duration, 1, Seed, OracleWall);
-  const double OracleRate =
-      OracleWall > 0.0
-          ? static_cast<double>(Oracle.SimulatedEvents) / OracleWall
-          : 0.0;
+  // Colocation platform: the run and a repeat, compared bit for bit.
+  double Wall = 0.0, RepeatWall = 0.0;
+  const ColocationSimResult R = runPlatform(Tenants, Duration, Seed, Wall);
+  const ColocationSimResult Repeat =
+      runPlatform(Tenants, Duration, Seed, RepeatWall);
+  const bool Same = identicalResults(R, Repeat);
+  Ok &= checkShape(Same, "colocation platform run is bit-identical across "
+                         "repeat runs");
 
-  Table T({"shards", "events", "wall_s", "events_per_s", "identical"});
-  T.addRow({"1", std::to_string(Oracle.SimulatedEvents),
-            Table::formatDouble(OracleWall, 3),
-            Table::formatDouble(OracleRate, 0), "oracle"});
-  double BestRate = OracleRate;
-  for (unsigned Shards : Sweep) {
-    double Wall = 0.0;
-    const ColocationSimResult R =
-        runFleet(Tenants, Duration, Shards, Seed, Wall);
-    const bool Same = identicalResults(Oracle, R);
-    Ok &= checkShape(Same, "shards=" + std::to_string(Shards) +
-                               " colocation run is bit-identical to the "
-                               "single-shard oracle");
-    const double Rate =
-        Wall > 0.0 ? static_cast<double>(R.SimulatedEvents) / Wall : 0.0;
-    BestRate = std::max(BestRate, Rate);
-    T.addRow({std::to_string(Shards), std::to_string(R.SimulatedEvents),
-              Table::formatDouble(Wall, 3), Table::formatDouble(Rate, 0),
-              Same ? "yes" : "NO"});
-  }
-  emitTable("Colocation platform shard sweep (" + std::to_string(Tenants) +
-                " tenants, " + Table::formatDouble(Duration, 0) + " sim s)",
+  Table T({"run", "events", "wall_s", "events_per_s"});
+  for (const auto &[Name, W] : {std::pair<const char *, double>{"first", Wall},
+                                {"repeat", RepeatWall}})
+    T.addRow({Name, std::to_string(R.SimulatedEvents),
+              Table::formatDouble(W, 3),
+              Table::formatDouble(
+                  W > 0.0 ? static_cast<double>(R.SimulatedEvents) / W : 0.0,
+                  0)});
+  emitTable("Colocation platform (" + std::to_string(Tenants) + " tenants, " +
+                Table::formatDouble(Duration, 0) + " sim s)",
             T, Csv);
 
   const uint64_t EventFloor = Quick ? 200000 : 1000000;
-  Ok &= checkShape(Oracle.SimulatedEvents >= EventFloor,
+  Ok &= checkShape(R.SimulatedEvents >= EventFloor,
                    "platform scenario simulates >= " +
                        std::to_string(EventFloor) + " events (got " +
-                       std::to_string(Oracle.SimulatedEvents) + ")");
-  std::printf("[info] peak colocation rate %.0f events/s (oracle %.0f)\n",
-              BestRate, OracleRate);
+                       std::to_string(R.SimulatedEvents) + ")");
 
   // Pipeline replica fleet: load split across replicas, items conserved,
-  // repeat runs identical.
-  Table F({"shards", "items", "wall_s", "items_per_s", "fleet_p95_s"});
-  for (unsigned Shards : Sweep) {
-    double Wall = 0.0, Wall2 = 0.0;
-    const PipelineFleetResult R = runPipelines(Shards, FleetItems, Seed, Wall);
-    const PipelineFleetResult Again =
-        runPipelines(Shards, FleetItems, Seed, Wall2);
-    bool Same = R.ItemsCompleted == Again.ItemsCompleted &&
-                R.Replicas.size() == Again.Replicas.size();
-    for (size_t I = 0; Same && I != R.Replicas.size(); ++I)
-      Same = R.Replicas[I].ItemsCompleted == Again.Replicas[I].ItemsCompleted &&
-             R.Replicas[I].TotalSeconds == Again.Replicas[I].TotalSeconds &&
-             R.Replicas[I].Throughput == Again.Replicas[I].Throughput;
-    Ok &= checkShape(Same, "fleet of " + std::to_string(Shards) +
-                               " is deterministic across repeat runs");
-    Ok &= checkShape(R.ItemsCompleted == FleetItems,
-                     "fleet of " + std::to_string(Shards) +
+  // the parallel run identical to a one-worker repeat.
+  const unsigned Workers = resolveSweepWorkers(0);
+  Table F({"replicas", "items", "wall_s", "items_per_s", "fleet_p95_s"});
+  for (unsigned Replicas : FleetSizes) {
+    double FleetWall = 0.0, SerialWall = 0.0;
+    const FleetResult Fleet =
+        runPipelines(Replicas, FleetItems, Seed, Workers, FleetWall);
+    const FleetResult Serial =
+        runPipelines(Replicas, FleetItems, Seed, 1, SerialWall);
+    bool FleetSame = Fleet.ItemsCompleted == Serial.ItemsCompleted &&
+                     Fleet.Replicas.size() == Serial.Replicas.size();
+    for (size_t I = 0; FleetSame && I != Fleet.Replicas.size(); ++I) {
+      const PipelineSimResult &A = Fleet.Replicas[I];
+      const PipelineSimResult &B = Serial.Replicas[I];
+      FleetSame = A.ItemsCompleted == B.ItemsCompleted &&
+                  A.TotalSeconds == B.TotalSeconds &&
+                  A.Throughput == B.Throughput;
+    }
+    Ok &= checkShape(FleetSame, "fleet of " + std::to_string(Replicas) +
+                                    " is deterministic across repeat runs");
+    Ok &= checkShape(Fleet.ItemsCompleted == FleetItems,
+                     "fleet of " + std::to_string(Replicas) +
                          " conserves the batch (" +
-                         std::to_string(R.ItemsCompleted) + "/" +
+                         std::to_string(Fleet.ItemsCompleted) + "/" +
                          std::to_string(FleetItems) + " items)");
-    F.addRow({std::to_string(Shards), std::to_string(R.ItemsCompleted),
-              Table::formatDouble(Wall, 3),
-              Table::formatDouble(Wall > 0.0 ? R.ItemsCompleted / Wall : 0.0,
-                                  0),
-              Table::formatDouble(R.P95ResponseSeconds, 3)});
+    F.addRow({std::to_string(Replicas), std::to_string(Fleet.ItemsCompleted),
+              Table::formatDouble(FleetWall, 3),
+              Table::formatDouble(
+                  FleetWall > 0.0 ? Fleet.ItemsCompleted / FleetWall : 0.0, 0),
+              Table::formatDouble(Fleet.P95ResponseSeconds, 3)});
   }
-  emitTable("Pipeline replica fleet (ferret, " +
-                std::to_string(FleetItems) + " items)",
+  emitTable("Pipeline replica fleet (ferret, " + std::to_string(FleetItems) +
+                " items, " + std::to_string(Workers) + " workers)",
             F, Csv);
 
   if (!Ok)

@@ -239,14 +239,12 @@ double colocationItemsPerSec(double Duration, unsigned Contexts,
   return Sec > 0.0 ? static_cast<double>(Completed) / Sec : 0.0;
 }
 
-/// Shard-scaling probe: one many-tenant colocation run at \p Shards,
-/// returning simulated events per wall second (the work-proportional
-/// SimulatedEvents counter, invariant across shard counts — so the
-/// ratio between shard counts is pure engine scaling, not workload
-/// drift). bench/ext_scale runs the full sweep with determinism
-/// cross-checks; this probe feeds the gated perf metric.
-double shardScaleEventsPerSec(unsigned Tenants, double Duration,
-                              unsigned Shards, uint64_t Seed) {
+/// Scale probe: one many-tenant colocation run, returning simulated
+/// events per wall second (the work-proportional SimulatedEvents
+/// counter). bench/ext_scale runs the 120-tenant platform with
+/// determinism cross-checks; this probe feeds the gated perf metric.
+double colocationScaleEventsPerSec(unsigned Tenants, double Duration,
+                                   uint64_t Seed) {
   std::vector<ColocationTenantSpec> Specs;
   Specs.reserve(Tenants);
   for (unsigned I = 0; I != Tenants; ++I) {
@@ -282,15 +280,14 @@ double shardScaleEventsPerSec(unsigned Tenants, double Duration,
   Opts.DurationSeconds = Duration;
   Opts.StepSeconds = 0.05;
   Opts.WarmupSeconds = 4.0;
-  Opts.Shards = Shards;
   Opts.Policy = ColocationPolicy::Arbiter;
   Opts.Arbiter.EpochSeconds = 2.0;
   Opts.Arbiter.LeaseTtlSeconds = 5.0;
 
   // Best of three runs: the individual runs are short enough that one
-  // badly timed preemption can swing the 8-over-1 ratio, and the best
-  // observed rate is the standard noise-robust estimator for a
-  // deterministic workload.
+  // badly timed preemption can swing the rate, and the best observed
+  // rate is the standard noise-robust estimator for a deterministic
+  // workload.
   double Best = 0.0;
   for (unsigned Rep = 0; Rep != 3; ++Rep) {
     ColocationSim Sim(Specs, Opts);
@@ -609,6 +606,10 @@ constexpr GatedMetric GatedMetrics[] = {
     {"sims.pipeline_items_per_sec", true},
     {"sims.nest_transactions_per_sec", true},
     {"sims.colocation_items_per_sec", true},
+    // The 48-tenant colocation probe: per-step cost at platform scale,
+    // where the once-per-epoch contention publish keeps steps
+    // O(tenants).
+    {"sims.colocation_scale_events_per_sec", true},
     // Simulated-time robustness metrics (see recoveryMetrics): gated
     // directionally like everything else, but deterministic, so any
     // drift is a protocol change rather than machine noise.
@@ -618,14 +619,6 @@ constexpr GatedMetric GatedMetrics[] = {
     // of the what-if scenario. Deterministic; a drop means the
     // trace->recommend->hint->seed loop stopped paying.
     {"whatif.warm_start_speedup", true},
-    // Sharded-engine throughput at the widest sweep point, and the
-    // 8-over-1 speedup. The speedup is gateable now that the thread
-    // team auto-sizes to the host (ShardedSimOptions::Threads = 0): an
-    // 8-shard run multiplexes onto however many cores exist instead of
-    // thrashing eight blocked threads through the barrier, so the ratio
-    // must not fall below ~1.0 on any host.
-    {"shard_scaling.events_per_sec_8", true},
-    {"shard_scaling.speedup_8_over_1", true},
     // Recursive task runtime: spawn/acquire throughput through the
     // work-stealing deques, and its advantage over routing every spawn
     // through the central mutex queue.
@@ -636,17 +629,36 @@ constexpr GatedMetric GatedMetrics[] = {
 };
 
 /// Compares \p Current against \p Baseline; returns false when any gated
-/// metric regressed past \p Tolerance. Metrics missing from either side
-/// (e.g. skipped end-to-end runs) are reported and skipped.
+/// metric regressed past \p Tolerance. The comparison is like for like:
+/// a run whose `quick` mode differs from the baseline's fails outright,
+/// and so does a gated metric the baseline has but the run lacks, unless
+/// the run skipped it on purpose (\p SkippedE2e for the end_to_end.*
+/// harness timings). A metric the baseline lacks is reported and
+/// skipped.
 bool checkAgainstBaseline(const JsonValue &Current, const JsonValue &Baseline,
-                          double Tolerance) {
+                          double Tolerance, bool SkippedE2e) {
   bool Ok = true;
+  const JsonValue *CurQuick = Current.get("quick");
+  const JsonValue *BaseQuick = Baseline.get("quick");
+  if (!CurQuick || !BaseQuick || CurQuick->asBool() != BaseQuick->asBool()) {
+    std::printf("[perf FAIL] quick: run and baseline were taken in "
+                "different modes; compare like with like\n");
+    Ok = false;
+  }
   for (const GatedMetric &M : GatedMetrics) {
     const JsonValue *Cur = lookupPath(Current, M.Path);
     const JsonValue *Base = lookupPath(Baseline, M.Path);
-    if (!Cur || !Cur->isNumber() || !Base || !Base->isNumber()) {
-      std::printf("[perf skip] %s: missing from current or baseline\n",
-                  M.Path);
+    if (!Base || !Base->isNumber()) {
+      std::printf("[perf skip] %s: missing from baseline\n", M.Path);
+      continue;
+    }
+    if (!Cur || !Cur->isNumber()) {
+      const bool Skipped =
+          SkippedE2e && std::string(M.Path).rfind("end_to_end.", 0) == 0;
+      std::printf("[perf %s] %s: missing from this run%s\n",
+                  Skipped ? "skip" : "FAIL", M.Path,
+                  Skipped ? " (--skip-e2e)" : "");
+      Ok &= Skipped;
       continue;
     }
     const double C = Cur->asDouble();
@@ -753,10 +765,17 @@ int main(int Argc, char **Argv) {
                               : 0.0;
   const double ColocationRate =
       colocationItemsPerSec(ColocationDuration, Contexts, Seed);
+  // 48 tenants over 40 simulated seconds in both modes, so quick and
+  // full runs time the same scale probe.
+  const unsigned ScaleTenants = 48;
+  const double ColocationScaleRate =
+      colocationScaleEventsPerSec(ScaleTenants, 40.0, Seed);
   JsonValue Sims = JsonValue::makeObject();
   Sims.set("pipeline_items_per_sec", JsonValue(PipelineRate));
   Sims.set("nest_transactions_per_sec", JsonValue(NestRate));
   Sims.set("colocation_items_per_sec", JsonValue(ColocationRate));
+  Sims.set("colocation_scale_tenants", JsonValue(uint64_t(ScaleTenants)));
+  Sims.set("colocation_scale_events_per_sec", JsonValue(ColocationScaleRate));
   Out.set("sims", std::move(Sims));
 
   // Lease-protocol recovery (deterministic simulated-time metrics).
@@ -796,35 +815,6 @@ int main(int Argc, char **Argv) {
   TaskRuntime.set("central_tasks_per_sec", JsonValue(CentralRate));
   TaskRuntime.set("steal_speedup_over_central", JsonValue(StealSpeedup));
   Out.set("task_runtime", std::move(TaskRuntime));
-
-  // Shard scaling: the same many-tenant colocation model on the sharded
-  // engine at 1/2/4/8 shards. Results are bit-identical across shard
-  // counts (the shard suite proves that), so events/s ratios are pure
-  // engine scaling. Both the 8-shard rate and the 8-over-1 speedup are
-  // gated: with the auto-sized thread team the speedup no longer
-  // depends on the runner's core count staying above the shard count.
-  // 48 tenants even in quick mode: at 24, an 8-shard partition leaves
-  // each shard only three tenants of per-step work against the fixed
-  // per-step cost every shard pays, which drowns the scaling signal in
-  // call overhead on small hosts.
-  const unsigned ScaleTenants = 48;
-  const double ScaleDuration = 40.0;
-  JsonValue ShardScaling = JsonValue::makeObject();
-  ShardScaling.set("tenants", JsonValue(uint64_t(ScaleTenants)));
-  double ShardRate1 = 0.0, ShardRate8 = 0.0;
-  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
-    const double Rate =
-        shardScaleEventsPerSec(ScaleTenants, ScaleDuration, Shards, Seed);
-    ShardScaling.set("events_per_sec_" + std::to_string(Shards),
-                     JsonValue(Rate));
-    if (Shards == 1)
-      ShardRate1 = Rate;
-    if (Shards == 8)
-      ShardRate8 = Rate;
-  }
-  const double ShardSpeedup = ShardRate1 > 0.0 ? ShardRate8 / ShardRate1 : 0.0;
-  ShardScaling.set("speedup_8_over_1", JsonValue(ShardSpeedup));
-  Out.set("shard_scaling", std::move(ShardScaling));
 
   // Tracing overhead: the identical nest run with a sink attached,
   // relative to the untraced run above; draining and JSONL export are
@@ -875,6 +865,8 @@ int main(int Argc, char **Argv) {
   T.addRow({"nest sim (transactions/s)", Table::formatDouble(NestRate, 0)});
   T.addRow(
       {"colocation sim (items/s)", Table::formatDouble(ColocationRate, 0)});
+  T.addRow({"colocation 48 tenants (events/s)",
+            Table::formatDouble(ColocationScaleRate, 0)});
   T.addRow({"arbiter recovery time (sim s)",
             Table::formatDouble(Rec.TimeToRecoverSeconds, 2)});
   T.addRow({"attainment retained (fraction)",
@@ -886,11 +878,6 @@ int main(int Argc, char **Argv) {
       {"central runtime (tasks/s)", Table::formatDouble(CentralRate, 0)});
   T.addRow({"steal speedup over central",
             Table::formatDouble(StealSpeedup, 2)});
-  T.addRow({"sharded colocation 1 shard (events/s)",
-            Table::formatDouble(ShardRate1, 0)});
-  T.addRow({"sharded colocation 8 shards (events/s)",
-            Table::formatDouble(ShardRate8, 0)});
-  T.addRow({"shard speedup 8/1", Table::formatDouble(ShardSpeedup, 2)});
   T.addRow({"tracing run overhead", Table::formatDouble(TracingOverhead, 3)});
   T.addRow({"trace export (s)", Table::formatDouble(ExportSec, 4)});
   if (Fig2Sec >= 0.0)
@@ -915,7 +902,8 @@ int main(int Argc, char **Argv) {
     } else if (std::optional<JsonValue> Baseline =
                    readJsonFile(BaselinePath)) {
       Ok = checkAgainstBaseline(Out, *Baseline,
-                                Options.getDouble("tolerance"));
+                                Options.getDouble("tolerance"),
+                                Options.getFlag("skip-e2e"));
       // Absolute floor, independent of the baseline: the steal deques
       // must beat the central queue by 1.5x at 8 threads (acceptance
       // criterion of the recursive-runtime work).

@@ -17,9 +17,9 @@
 ///
 /// Inputs are deliberately forgiving: traces are read through the
 /// lenient JSONL reader (a crash mid-write leaves a torn final line),
-/// and construction works on the canonical record order, so a sharded
-/// run's post-merge trace and a single-threaded run's trace yield the
-/// same DAG.
+/// and construction works on the canonical record order, so a
+/// multi-threaded run's merged trace and a single-threaded run's trace
+/// yield the same DAG.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +66,7 @@ class TaskDag {
 public:
   /// Builds the DAG from trace records. The records are canonicalized
   /// internally (sorted into the thread-independent total order), so any
-  /// permutation of the same multiset — a different shard count, a
+  /// permutation of the same multiset — a different thread schedule, a
   /// merge, a re-serialization — builds the same DAG. Non-task records
   /// are ignored.
   static TaskDag build(std::vector<TraceRecord> Records);

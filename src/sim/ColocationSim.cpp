@@ -5,36 +5,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Execution model (see DESIGN.md §14): the simulation runs on the
-// conservative sharded engine. Tenants are partitioned round-robin
-// across shards; each shard advances the fixed-step fluid model for its
-// tenants through one arbiter epoch (the lookahead window), then all
-// shards meet at a barrier whose serial section is the *coordinator*:
-// it alone owns the arbiter, the protocol journal, the fault injector,
-// and the outage schedule, and it processes tenants in spec order — so
-// the decision stream is byte-identical to the historical sequential
-// loop no matter how many shards ran the windows.
-//
-// Cross-tenant coupling inside a window is limited to the per-step
-// contention factor, which is a pure function of (a) the control state
-// every tenant had at the last barrier (granted threads, eviction,
-// self-floor) and (b) the statically known crash schedule. Each shard
-// therefore recomputes the global thread sum locally from the published
-// control mirror without communicating. Everything else crosses shards
-// only through mailboxes collected at the barrier in canonical
-// (time, source shard, sequence) order.
+// Execution model: one sequential loop of fixed steps, cut into windows
+// of one arbiter epoch. Each step advances every tenant's fluid model in
+// spec order; each epoch boundary applies arbiter outage transitions,
+// collects the tenants' reports in spec order (the order the fault
+// injector's shared RNG stream is drawn in), rebalances, and publishes
+// the contention inputs for the next window. There is no parallel
+// engine: DESIGN.md §14 records why, and parallel simulator work runs
+// as independent jobs through bench/ParallelSweep.h.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/ColocationSim.h"
 
-#include "sim/CrossShardMailbox.h"
-#include "sim/ShardedSim.h"
 #include "support/Random.h"
 #include "support/RingDeque.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -133,8 +120,9 @@ double percentileOf(std::vector<double> Values, double Q) {
   return Values[Lo] * (1.0 - Frac) + Values[Hi] * Frac;
 }
 
-/// Shard-local state of one tenant. Everything here is touched only by
-/// the owning shard's worker between barriers.
+/// State of one tenant: its fluid-model queue and telemetry window plus
+/// the control state (lease, eviction, self-floor, liveness) the
+/// contention sum and the arbiter reports read.
 struct TenantRuntime {
   const ColocationTenantSpec *Spec = nullptr;
   double ServiceCredit = 0.0;
@@ -146,11 +134,13 @@ struct TenantRuntime {
   uint64_t WindowArrived = 0;
   uint64_t WindowCompleted = 0;
   std::vector<double> WindowResponses;
-
-  /// Process died (statically scheduled); the owning shard flips this
-  /// at the crossing step, the coordinator mirrors it for journaling.
-  bool Crashed = false;
   uint64_t EpochIndex = 0;
+
+  unsigned Granted = 0;
+  bool Evicted = false;   // containment killed it; never comes back
+  bool SelfFloor = false; // lease expired while alive: serving at floor
+  /// Process died (statically scheduled); flipped at the crossing step.
+  bool Crashed = false;
 
   TenantStats Stats;
 
@@ -159,115 +149,56 @@ struct TenantRuntime {
   double Latency = 0.0;
 };
 
-/// Control-plane state of one tenant, published by the coordinator at
-/// barriers and read-only to every shard during a window. This mirror —
-/// not the shard-local runtime — is what contention sums read, so the
-/// sum is identical no matter which shard computes it.
-struct TenantControl {
-  unsigned Granted = 0;
-  bool Evicted = false;   // containment killed it; never comes back
-  bool SelfFloor = false; // lease expired while alive: serving at floor
-};
-
-/// Shard → coordinator: one tenant's epoch telemetry.
-struct EpochReport {
-  uint32_t SpecIndex = 0;
-  TenantSample Sample;
-  /// Tenant was alive and non-silent this epoch; the coordinator still
-  /// owns the injector's heartbeat-drop draw (shared RNG stream, spec
-  /// order) so the draw sequence matches the sequential sim exactly.
-  bool SentCandidate = false;
-};
-
-/// Coordinator → shard: re-derive the tenant's cached curves from the
-/// updated control mirror, and apply the lease-change side effects the
-/// sequential sim performed inline.
-struct TenantDirective {
-  uint32_t SpecIndex = 0;
-  bool CountLeaseChange = false;
-  bool Pause = false;
-};
-
-/// One run of the colocation model on the sharded engine. Borrows specs
-/// and options from ColocationSim; lives for a single run().
+/// One run of the colocation model. Borrows specs and options from
+/// ColocationSim; lives for a single run().
 class ColocationEngine {
 public:
   ColocationEngine(const std::vector<ColocationTenantSpec> &Specs,
                    const ColocationSimOptions &Opts)
-      : Specs(Specs), Opts(Opts), N(Specs.size()),
-        Shards(std::max(1u, Opts.Shards)), Trace(Opts.TraceSink),
-        Dt(Opts.StepSeconds),
+      : Specs(Specs), Opts(Opts), N(Specs.size()), Trace(Opts.TraceSink),
+        Dt(Opts.StepSeconds), EpochLen(Opts.Arbiter.EpochSeconds),
         OversubFactor(1.0 + Opts.OversubPenalty *
-                                (static_cast<double>(N) - 1.0)),
-        Reports(Shards) {
+                                (static_cast<double>(N) - 1.0)) {
     ArbOpts = Opts.Arbiter;
     ArbOpts.TotalThreads = Opts.Contexts;
     ArbOpts.Trace = Trace;
-    EpochLen = ArbOpts.EpochSeconds;
   }
 
   ColocationSimResult run();
 
 private:
-  //===--------------------------------------------------------------===//
-  // Shared read-only helpers (pure functions of published state)
-  //===--------------------------------------------------------------===//
-
-  bool crashedAt(size_t I, double StepEnd) const {
-    const double At = Specs[I].Misbehavior.CrashSeconds;
-    return At >= 0.0 && StepEnd > At;
-  }
-
   /// Lease-derived thread demand ignoring liveness.
   unsigned baseUsed(size_t I) const {
-    unsigned Base = Control[I].Granted;
-    if (Base == 0 && Control[I].SelfFloor)
+    const TenantRuntime &T = Run[I];
+    unsigned Base = T.Granted;
+    if (Base == 0 && T.SelfFloor)
       Base = std::max(1u, Specs[I].Tenant.MinThreads);
     if (Base > 0)
       Base += Specs[I].Misbehavior.EnvelopeViolationThreads;
     return Base;
   }
 
-  /// Threads tenant I occupies during the step ending at \p StepEnd:
-  /// zero once dead or evicted; the self-preservation floor while its
-  /// lease is expired but the process lives; its violation surplus on
-  /// top of any live lease. Usable for *any* tenant from *any* shard:
-  /// liveness comes from the static crash schedule, everything else
-  /// from the barrier-published control mirror.
-  unsigned usedThreadsAt(size_t I, double StepEnd) const {
-    if (Control[I].Evicted || crashedAt(I, StepEnd))
+  /// Threads tenant I occupies: zero once dead or evicted; the
+  /// self-preservation floor while its lease is expired but the process
+  /// lives; its violation surplus on top of any live lease.
+  unsigned usedThreads(size_t I) const {
+    if (Run[I].Crashed || Run[I].Evicted)
       return 0;
     return baseUsed(I);
   }
 
-  /// Same, from the owning shard's live crash flag (valid only on the
-  /// owner between the crash transition and the next barrier).
-  unsigned usedThreadsLive(size_t I) const {
-    if (Run[I].Crashed || Control[I].Evicted)
-      return 0;
-    return baseUsed(I);
-  }
-
-  /// Same, from the coordinator's crash mirror (valid inside the serial
-  /// section, where the mirror has replayed the closing window).
-  unsigned usedThreadsCoord(size_t I) const {
-    if (CrashedMirror[I] || Control[I].Evicted)
-      return 0;
-    return baseUsed(I);
-  }
-
-  /// Serial-section publish of the contention inputs for the opening
-  /// window (see PublishedTotalUsed). Equivalent to summing
-  /// usedThreadsAt over all tenants at any step of the window: a
-  /// tenant already dead by the mirror (or evicted) is excluded
-  /// outright, and one whose crash lies ahead contributes until the
-  /// first step with StepEnd > CrashSeconds — exactly crashedAt's
-  /// strict crossing — via the sorted pending list.
+  /// Epoch-boundary publish of the contention inputs for the opening
+  /// window (see TotalUsedAtEpoch). Equivalent to summing usedThreads
+  /// over all tenants at any step of the window: a tenant already dead
+  /// (or evicted) is excluded outright, and one whose crash lies ahead
+  /// contributes until the first step with StepEnd > CrashSeconds — the
+  /// strict crossing the window loop applies — via the sorted pending
+  /// list.
   void publishContention() {
     unsigned Total = 0;
     PendingCrashes.clear();
     for (size_t I = 0; I != N; ++I) {
-      if (Control[I].Evicted || CrashedMirror[I])
+      if (Run[I].Evicted || Run[I].Crashed)
         continue;
       const unsigned Used = baseUsed(I);
       Total += Used;
@@ -276,12 +207,13 @@ private:
         PendingCrashes.push_back({At, Used});
     }
     std::sort(PendingCrashes.begin(), PendingCrashes.end());
-    PublishedTotalUsed = Total;
+    TotalUsedAtEpoch = Total;
+    UsedValidUntil = -1.0;
   }
 
   void refreshCurves(size_t I) {
     TenantRuntime &T = Run[I];
-    const unsigned Used = usedThreadsLive(I);
+    const unsigned Used = usedThreads(I);
     T.Capacity =
         Used == 0 ? 0.0 : ColocationSim::capacity(*T.Spec, Used);
     T.Latency = ColocationSim::serviceLatency(*T.Spec, std::max(1u, Used));
@@ -291,22 +223,14 @@ private:
     }
   }
 
-  //===--------------------------------------------------------------===//
-  // Shard side: one epoch window of fluid steps
-  //===--------------------------------------------------------------===//
-
-  void runShardEpoch(ShardContext &Ctx);
-  /// Advances every owned tenant of \p Shard through the step ending at
-  /// \p StepEnd. Crash transitions and the contention scale are handled
-  /// by the caller's window loop, which hoists them off the per-step
-  /// path.
-  void stepShard(unsigned Shard, double StepEnd, double Contention);
-
-  //===--------------------------------------------------------------===//
-  // Coordinator side: the barrier serial section
-  //===--------------------------------------------------------------===//
-
-  bool coordinatorBarrier();
+  void setup();
+  /// Runs fixed steps up to the next epoch boundary; false when the
+  /// duration ran out first (the run is over, with no boundary).
+  bool runWindow();
+  /// Advances every tenant through the step ending at \p StepEnd.
+  void step(double StepEnd, double Contention);
+  /// Reports, journals and rebalances at the boundary ending the window.
+  void epochBoundary();
   void applyChanges(const std::vector<LeaseChange> &Changes, double Now);
   void restartArbiter(double Now);
 
@@ -322,80 +246,41 @@ private:
     Result.ProtocolJournal.push_back(std::move(R));
   }
 
-  void setup();
-
-  //===--------------------------------------------------------------===//
-  // State
-  //===--------------------------------------------------------------===//
-
   const std::vector<ColocationTenantSpec> &Specs;
   const ColocationSimOptions &Opts;
   const size_t N;
-  const unsigned Shards;
   Tracer *Trace;
   const double Dt;
-  double EpochLen = 0.0;
+  const double EpochLen;
   const double OversubFactor;
   ArbiterOptions ArbOpts;
 
-  // Partition: spec index -> owning shard, and the inverse lists.
-  std::vector<uint32_t> OwnerOf;
-  std::vector<std::vector<uint32_t>> Owned;
-
-  /// Per shard: any owned tenant carries a crash schedule. Lets the
-  /// window loop skip the per-step crash scan entirely in the common
-  /// all-honest case.
-  std::vector<char> CrashWatch;
-
-  /// Barrier-published contention inputs: the all-tenant used-thread
-  /// sum as of the opening window, plus the (time, contribution) of
-  /// every still-alive tenant whose crash schedule lies ahead, sorted
-  /// by time. Shards derive the step's contention from these in O(own
-  /// pending crossings) instead of rescanning all N tenants — the scan
-  /// happens once per epoch in the serial section, not once per shard.
-  unsigned PublishedTotalUsed = 0;
-  std::vector<std::pair<double, unsigned>> PendingCrashes;
-
-  // Shard-local tenant state (indexed by spec; each entry touched only
-  // by its owner between barriers) and the published control mirror
-  // (written only in the serial section).
   std::vector<TenantRuntime> Run;
-  std::vector<TenantControl> Control;
 
-  /// Per-shard window clock. Every shard advances the same float
-  /// accumulators (Now += Dt, NextEpoch += EpochLen) from zero, so step
-  /// and boundary times are bit-identical across shard counts.
-  struct ShardClock {
-    double Now = 0.0;
-    double NextEpoch = 0.0;
-    bool Done = false;
-    uint64_t SimEvents = 0;
+  /// Any tenant carries a crash schedule. Lets the window loop skip the
+  /// per-step crash scan entirely in the common all-honest case.
+  bool AnyCrashSchedule = false;
 
-    /// Cached contention sum (all-tenant used threads). The sum is a
-    /// pure step function of time — it moves only when a crash schedule
-    /// crosses or the barrier republishes the control mirror — so each
-    /// shard recomputes the O(N) scan only when its step passes
-    /// UsedValidUntil instead of at every step. Keeping shards at
-    /// O(own tenants) per step is what makes the 8-shard configuration
-    /// scale (bench shard_scaling.speedup_8_over_1).
-    unsigned TotalUsedCache = 0;
-    double UsedValidUntil = -1.0;
-    /// Contention scale derived from TotalUsedCache; refreshed on the
-    /// same cadence.
-    double Contention = 1.0;
-  };
-  std::vector<ShardClock> Clocks;
+  // The clock: both advance by float accumulation from zero, so step and
+  // boundary times are a pure function of (StepSeconds, EpochSeconds).
+  double Now = 0.0;
+  double NextEpoch = 0.0;
 
-  // Mailboxes: telemetry up, lease directives down.
-  CrossShardMailbox<EpochReport> Reports;
-  std::vector<std::unique_ptr<CrossShardMailbox<TenantDirective>>> Directives;
+  /// Contention inputs published at each epoch boundary: the all-tenant
+  /// used-thread sum, plus the (time, contribution) of every still-alive
+  /// tenant whose crash schedule lies ahead, sorted by time. The sum
+  /// moves only at a crash crossing inside a window, so a step derives
+  /// it by folding in the crossed entries instead of rescanning all
+  /// tenants — keeping each step O(tenants) of model work only.
+  unsigned TotalUsedAtEpoch = 0;
+  std::vector<std::pair<double, unsigned>> PendingCrashes;
+  /// Contention scale from the last fold, valid for every StepEnd up to
+  /// UsedValidUntil (no pending crossing can fire before then).
+  double UsedValidUntil = -1.0;
+  double Contention = 1.0;
 
-  // Coordinator-only state (serial section + pre/post-run setup).
   std::unique_ptr<Arbiter> Arb;
   std::vector<TenantId> Ids;
-  std::vector<char> CrashedMirror; // journal-order crash flags
-  double CoordNow = 0.0;
-  double NextEpoch = 0.0;
   uint64_t TotalLeaseChanges = 0;
   bool ArbKilled = false;
   bool ArbRestarted = false;
@@ -404,25 +289,10 @@ private:
 };
 
 void ColocationEngine::setup() {
-  OwnerOf.resize(N);
-  Owned.resize(Shards);
-  for (size_t I = 0; I != N; ++I) {
-    OwnerOf[I] = static_cast<uint32_t>(I % Shards);
-    Owned[OwnerOf[I]].push_back(static_cast<uint32_t>(I));
-  }
-  CrashWatch.assign(Shards, 0);
-  for (size_t I = 0; I != N; ++I)
-    if (Specs[I].Misbehavior.CrashSeconds >= 0.0)
-      CrashWatch[OwnerOf[I]] = 1;
   Run.resize(N);
-  Control.resize(N);
   Ids.resize(N, 0);
-  CrashedMirror.assign(N, 0);
-  Clocks.resize(Shards);
-  Directives.reserve(Shards);
-  for (unsigned S = 0; S != Shards; ++S)
-    Directives.emplace_back(
-        std::make_unique<CrossShardMailbox<TenantDirective>>(1));
+  for (size_t I = 0; I != N; ++I)
+    AnyCrashSchedule |= Specs[I].Misbehavior.CrashSeconds >= 0.0;
 
   if (Opts.Policy == ColocationPolicy::Arbiter)
     Arb = std::make_unique<Arbiter>(ArbOpts);
@@ -444,106 +314,67 @@ void ColocationEngine::setup() {
     case ColocationPolicy::StaticSplit: {
       const unsigned Equal =
           std::max(1u, Opts.Contexts / static_cast<unsigned>(N));
-      Control[I].Granted =
-          I < Opts.StaticShares.size() && Opts.StaticShares[I] > 0
-              ? Opts.StaticShares[I]
-              : Equal;
+      T.Granted = I < Opts.StaticShares.size() && Opts.StaticShares[I] > 0
+                      ? Opts.StaticShares[I]
+                      : Equal;
       break;
     }
     case ColocationPolicy::Oversubscribed:
       // Fair-share slice of the thrashing machine.
-      Control[I].Granted =
-          std::max(1u, Opts.Contexts / static_cast<unsigned>(N));
+      T.Granted = std::max(1u, Opts.Contexts / static_cast<unsigned>(N));
       break;
     }
   }
   // Read seats only after every tenant has joined — each join re-splits
   // the pool, so earlier reads would hold stale (overcommitted) grants.
   if (Opts.Policy == ColocationPolicy::Arbiter) {
+    AllocationSample Seat;
+    Seat.Time = 0.0;
     for (size_t I = 0; I != N; ++I) {
-      Control[I].Granted = Arb->leaseOf(Ids[I]).Threads;
+      Run[I].Granted = Arb->leaseOf(Ids[I]).Threads;
       journalRecord(0.0, TraceKind::LeaseGrant, Run[I].Stats.Name,
-                    static_cast<double>(Control[I].Granted), 0.0, "join");
+                    static_cast<double>(Run[I].Granted), 0.0, "join");
+      Seat.Granted.push_back(Run[I].Granted);
     }
+    Result.AllocationTimeline.push_back(std::move(Seat));
   }
   for (size_t I = 0; I != N; ++I)
     refreshCurves(I);
-  if (Opts.Policy == ColocationPolicy::Arbiter) {
-    AllocationSample Seat;
-    Seat.Time = 0.0;
-    for (size_t I = 0; I != N; ++I)
-      Seat.Granted.push_back(Control[I].Granted);
-    Result.AllocationTimeline.push_back(std::move(Seat));
-  }
 
   NextEpoch = EpochLen;
-  for (ShardClock &C : Clocks)
-    C.NextEpoch = EpochLen;
   publishContention();
 }
 
-void ColocationEngine::runShardEpoch(ShardContext &Ctx) {
-  const unsigned S = Ctx.shard();
-  ShardClock &C = Clocks[S];
-
-  // Deliver the previous barrier's lease directives before the window
-  // opens — exactly where the sequential loop applied them.
-  for (auto &Env : Directives[S]->collect()) {
-    const TenantDirective &D = Env.Payload;
-    TenantRuntime &T = Run[D.SpecIndex];
-    if (D.Pause)
-      T.PausedUntil = Env.Time + Opts.ReconfigPauseSeconds;
-    if (D.CountLeaseChange)
-      ++T.Stats.LeaseChanges;
-    refreshCurves(D.SpecIndex);
-  }
-  // The barrier may have republished the control mirror; the contention
-  // cache must not carry across it.
-  C.UsedValidUntil = -1.0;
-  if (C.Done)
-    return;
-
-  // One window of fixed steps. The loop structure (duration check
-  // before the step, epoch check after) mirrors the sequential loop so
-  // the step grid and boundary decisions are float-identical. The step
-  // itself is a direct call: routing it through the shard's event queue
-  // (schedule + wheel advance + dispatch per step) is a fixed per-step
-  // cost each shard pays in full, and it was the largest remaining
-  // O(shards) term in the scaling bench. The queue is drained only when
-  // a model actually scheduled something into it.
+bool ColocationEngine::runWindow() {
+  // Duration check before the step, epoch check after: a run whose
+  // duration ends mid-window stops without a boundary.
   for (;;) {
-    if (C.Now >= Opts.DurationSeconds - 1e-12) {
-      C.Done = true;
-      return; // mid-window end: no epoch processing, like the old loop
-    }
-    const double StepEnd = C.Now + Dt;
+    if (Now >= Opts.DurationSeconds - 1e-12)
+      return false;
+    const double StepEnd = Now + Dt;
 
-    // Own-tenant crash transitions (capacity only; the coordinator
-    // emits the journal/trace records at the barrier, in spec order).
-    // Skipped wholesale when no owned tenant has a crash schedule.
-    if (CrashWatch[S])
-      for (uint32_t I : Owned[S]) {
+    // Crash transitions, journaled at the crossing step in spec order.
+    if (AnyCrashSchedule)
+      for (size_t I = 0; I != N; ++I) {
         TenantRuntime &T = Run[I];
-        if (!T.Crashed && crashedAt(I, StepEnd)) {
-          T.Crashed = true;
-          refreshCurves(I);
-        }
+        const double At = Specs[I].Misbehavior.CrashSeconds;
+        if (T.Crashed || At < 0.0 || StepEnd <= At)
+          continue;
+        T.Crashed = true;
+        refreshCurves(I);
+        journalRecord(At, TraceKind::Fault, T.Stats.Name, 0.0, 0.0,
+                      "tenant-crash");
+        if (Trace)
+          Trace->recordAt(At, TraceKind::Fault, "crash:" + T.Stats.Name);
       }
 
-    // The step's contention scale: when misbehaving tenants occupy
-    // more contexts than exist, everyone's capacity shrinks pro rata.
-    // Every shard derives the same global sum from the barrier's
-    // published contention inputs (publishContention): the serial
-    // section pays the O(all tenants) scan once per epoch, and each
-    // shard just folds in any crash crossings. The value is cached
-    // with an exact validity horizon — for any StepEnd' <=
-    // UsedValidUntil no pending crossing (strict StepEnd >
-    // CrashSeconds) can have fired, and the published inputs are
-    // fixed until NextEpoch. The reset above forces a roll on the
-    // window's first step, so Contention is always fresh before use.
-    if (StepEnd > C.UsedValidUntil) {
-      unsigned Total = PublishedTotalUsed;
-      double Valid = C.NextEpoch;
+    // The step's contention scale: when misbehaving tenants occupy more
+    // contexts than exist, everyone's capacity shrinks pro rata. The
+    // fold over pending crash crossings is cached up to the next one;
+    // publishContention resets the cache at every boundary.
+    if (StepEnd > UsedValidUntil) {
+      unsigned Total = TotalUsedAtEpoch;
+      double Valid = NextEpoch;
       for (const auto &Pending : PendingCrashes) {
         if (StepEnd > Pending.first) {
           Total -= Pending.second;
@@ -552,68 +383,26 @@ void ColocationEngine::runShardEpoch(ShardContext &Ctx) {
           break;
         }
       }
-      C.TotalUsedCache = Total;
-      C.UsedValidUntil = Valid;
-      C.Contention = Total > Opts.Contexts
-                         ? static_cast<double>(Opts.Contexts) / Total
-                         : 1.0;
+      UsedValidUntil = Valid;
+      Contention = Total > Opts.Contexts
+                       ? static_cast<double>(Opts.Contexts) / Total
+                       : 1.0;
     }
 
-    stepShard(S, StepEnd, C.Contention);
-    if (!Ctx.events().empty())
-      Ctx.runEventsUntil(StepEnd);
-    C.Now += Dt;
-    if (StepEnd + 1e-12 >= C.NextEpoch)
-      break;
+    step(StepEnd, Contention);
+    Now += Dt;
+    if (StepEnd + 1e-12 >= NextEpoch)
+      return true;
   }
-
-  // Epoch boundary: post this shard's telemetry and reset windows. The
-  // coordinator journals, feeds the arbiter, and rebalances in spec
-  // order at the barrier.
-  const double E = C.NextEpoch;
-  for (uint32_t I : Owned[S]) {
-    TenantRuntime &T = Run[I];
-    const TenantMisbehavior &M = T.Spec->Misbehavior;
-    EpochReport R;
-    R.SpecIndex = I;
-    if (Opts.Policy == ColocationPolicy::Arbiter) {
-      // GrantedThreads is filled by the coordinator: the boundary's
-      // outage kill/restart runs before sampling and can change grants,
-      // and the sequential sim sampled the post-transition value.
-      R.Sample.Time = E;
-      R.Sample.Throughput = static_cast<double>(T.WindowCompleted) / EpochLen;
-      R.Sample.OfferedRate = static_cast<double>(T.WindowArrived) / EpochLen;
-      R.Sample.P95ResponseSeconds = percentileOf(T.WindowResponses, 0.95);
-      R.Sample.QueueDepth = static_cast<double>(T.Queue.size());
-      if (M.byzantineAt(E)) {
-        R.Sample.Throughput *= M.ReportedRateFactor;
-        R.Sample.OfferedRate *= M.ReportedRateFactor;
-        if (M.NonMonotoneClock && (T.EpochIndex & 1))
-          R.Sample.Time = E - 1.5 * EpochLen;
-      }
-      R.SentCandidate = !T.Crashed && !Control[I].Evicted && !M.silentAt(E);
-    } else {
-      R.Sample.QueueDepth = static_cast<double>(T.Queue.size());
-    }
-    Reports.post(S, E, std::move(R));
-    T.WindowArrived = 0;
-    T.WindowCompleted = 0;
-    T.WindowResponses.clear();
-    ++T.EpochIndex;
-  }
-  C.NextEpoch += EpochLen;
 }
 
-void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
-                                 double Contention) {
-  ShardClock &C = Clocks[Shard];
-  const double Now = C.Now; // step begin, accumulated — not StepEnd - Dt
+void ColocationEngine::step(double StepEnd, double Contention) {
   const bool Measured = StepEnd > Opts.WarmupSeconds;
 
-  for (uint32_t I : Owned[Shard]) {
+  for (size_t I = 0; I != N; ++I) {
     TenantRuntime &T = Run[I];
     const ColocationTenantSpec &S = *T.Spec;
-    ++C.SimEvents; // the tenant-step update itself
+    ++Result.SimulatedEvents; // the tenant-step update itself
 
     // Arrivals over this step (users keep sending to dead tenants).
     const double Load = S.ArrivalSchedule.phaseCount() == 0
@@ -622,7 +411,7 @@ void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
     const double Rate = S.ArrivalRate * Load;
     const uint64_t Arrived =
         Rate > 0.0 ? T.Arrivals.poisson(Rate * Dt) : 0;
-    C.SimEvents += Arrived;
+    Result.SimulatedEvents += Arrived;
     for (uint64_t A = 0; A != Arrived; ++A) {
       ++T.WindowArrived;
       if (Measured)
@@ -646,7 +435,7 @@ void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
       const double Completion = StepEnd + T.Latency;
       const double Response = Completion - Arrival;
       ++T.WindowCompleted;
-      ++C.SimEvents;
+      ++Result.SimulatedEvents;
       T.WindowResponses.push_back(Response);
       if (Measured) {
         ++T.Stats.Completed;
@@ -660,38 +449,11 @@ void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
     if (T.Queue.empty())
       T.ServiceCredit = std::min(T.ServiceCredit, 1.0);
 
-    T.Stats.ThreadSeconds += usedThreadsLive(I) * Dt;
+    T.Stats.ThreadSeconds += usedThreads(I) * Dt;
   }
 }
 
-bool ColocationEngine::coordinatorBarrier() {
-  // Replay the window's step grid for crash journaling: the same float
-  // accumulation and loop structure as the shards (and the historical
-  // sequential loop), so crossings land on identical steps and the
-  // journal keeps its (crossing step, spec index) order.
-  bool Crossed = false;
-  while (CoordNow < Opts.DurationSeconds - 1e-12) {
-    const double StepEnd = CoordNow + Dt;
-    for (size_t I = 0; I != N; ++I) {
-      if (!CrashedMirror[I] && crashedAt(I, StepEnd)) {
-        CrashedMirror[I] = 1;
-        const double At = Specs[I].Misbehavior.CrashSeconds;
-        journalRecord(At, TraceKind::Fault, Specs[I].Tenant.Name, 0.0, 0.0,
-                      "tenant-crash");
-        if (Trace)
-          Trace->recordAt(At, TraceKind::Fault,
-                          "crash:" + Specs[I].Tenant.Name);
-      }
-    }
-    CoordNow += Dt;
-    if (StepEnd + 1e-12 >= NextEpoch) {
-      Crossed = true;
-      break;
-    }
-  }
-  if (!Crossed)
-    return false; // duration exhausted mid-window: the run is over
-
+void ColocationEngine::epochBoundary() {
   const double E = NextEpoch;
 
   // Arbiter outage transitions happen on the boundary, before any
@@ -714,33 +476,35 @@ bool ColocationEngine::coordinatorBarrier() {
   const bool ArbUp =
       Opts.Policy == ColocationPolicy::Arbiter && Arb != nullptr;
 
-  // Collect every shard's telemetry (canonical mailbox order), then
-  // process tenants in spec order — the order the sequential loop used,
-  // and the order the injector's shared RNG stream must be consumed in.
-  std::vector<ShardEnvelope<EpochReport>> Envs = Reports.collect();
-  std::vector<const EpochReport *> BySpec(N, nullptr);
-  for (const ShardEnvelope<EpochReport> &Env : Envs)
-    BySpec[Env.Payload.SpecIndex] = &Env.Payload;
-
+  // Tenants report in spec order — the order the injector's shared RNG
+  // stream is consumed in.
   for (size_t I = 0; I != N; ++I) {
-    const EpochReport *R = BySpec[I];
-    if (!R)
-      throw std::logic_error(
-          "ColocationSim: missing epoch report for tenant " +
-          Specs[I].Tenant.Name);
+    TenantRuntime &T = Run[I];
+    const TenantMisbehavior &M = T.Spec->Misbehavior;
+    const double QueueDepth = static_cast<double>(T.Queue.size());
     if (Opts.Policy == ColocationPolicy::Arbiter) {
-      TenantSample Sample = R->Sample;
-      // Grants as of this boundary — after any kill/restart transition,
-      // exactly what the sequential sim sampled.
-      Sample.GrantedThreads = usedThreadsCoord(I);
-      bool Sent = R->SentCandidate;
+      TenantSample Sample;
+      Sample.Time = E;
+      Sample.Throughput = static_cast<double>(T.WindowCompleted) / EpochLen;
+      Sample.OfferedRate = static_cast<double>(T.WindowArrived) / EpochLen;
+      Sample.P95ResponseSeconds = percentileOf(T.WindowResponses, 0.95);
+      Sample.QueueDepth = QueueDepth;
+      // Grants as of this boundary, after any kill/restart transition.
+      Sample.GrantedThreads = usedThreads(I);
+      if (M.byzantineAt(E)) {
+        Sample.Throughput *= M.ReportedRateFactor;
+        Sample.OfferedRate *= M.ReportedRateFactor;
+        if (M.NonMonotoneClock && (T.EpochIndex & 1))
+          Sample.Time = E - 1.5 * EpochLen;
+      }
+      bool Sent = !T.Crashed && !T.Evicted && !M.silentAt(E);
       if (Sent && Opts.Faults && Opts.Faults->dropHeartbeat())
         Sent = false;
       if (Sent)
         // The host journals every report the tenant emits, even while
         // the arbiter is down — this is what a WarmTrace restart
         // replays.
-        journalRecord(Sample.Time, TraceKind::Heartbeat, Run[I].Stats.Name,
+        journalRecord(Sample.Time, TraceKind::Heartbeat, T.Stats.Name,
                       static_cast<double>(Sample.GrantedThreads),
                       Sample.Throughput,
                       Sample.OfferedRate > Sample.Throughput ||
@@ -751,11 +515,15 @@ bool ColocationEngine::coordinatorBarrier() {
         Arb->reportSample(Ids[I], Sample);
     }
     if (Trace) {
-      Trace->recordAt(E, TraceKind::Counter, "threads:" + Run[I].Stats.Name,
-                      static_cast<double>(Control[I].Granted));
-      Trace->recordAt(E, TraceKind::Counter, "queue:" + Run[I].Stats.Name,
-                      R->Sample.QueueDepth);
+      Trace->recordAt(E, TraceKind::Counter, "threads:" + T.Stats.Name,
+                      static_cast<double>(T.Granted));
+      Trace->recordAt(E, TraceKind::Counter, "queue:" + T.Stats.Name,
+                      QueueDepth);
     }
+    T.WindowArrived = 0;
+    T.WindowCompleted = 0;
+    T.WindowResponses.clear();
+    ++T.EpochIndex;
   }
 
   if (ArbUp)
@@ -765,12 +533,11 @@ bool ColocationEngine::coordinatorBarrier() {
     AllocationSample Alloc;
     Alloc.Time = E;
     for (size_t I = 0; I != N; ++I)
-      Alloc.Granted.push_back(Control[I].Granted);
+      Alloc.Granted.push_back(Run[I].Granted);
     Result.AllocationTimeline.push_back(std::move(Alloc));
   }
   NextEpoch += EpochLen;
   publishContention();
-  return true;
 }
 
 void ColocationEngine::applyChanges(const std::vector<LeaseChange> &Changes,
@@ -778,26 +545,27 @@ void ColocationEngine::applyChanges(const std::vector<LeaseChange> &Changes,
   TotalLeaseChanges += Changes.size();
   for (const LeaseChange &Ch : Changes) {
     for (size_t I = 0; I != N; ++I) {
-      if (Run[I].Stats.Name != Ch.Tenant)
+      TenantRuntime &T = Run[I];
+      if (T.Stats.Name != Ch.Tenant)
         continue;
-      Control[I].Granted = Ch.NewThreads;
+      T.Granted = Ch.NewThreads;
       if (Ch.Reason == "evict") {
         // Containment: the platform kills the tenant's workers.
-        Control[I].Evicted = true;
-        Control[I].SelfFloor = false;
+        T.Evicted = true;
+        T.SelfFloor = false;
       } else if (Ch.Reason == "expire") {
         // A live tenant whose lease expired (heartbeats lost in
         // transit) shrinks itself to its floor, like a Dope executive
         // whose envelope TTL lapsed; a dead one is simply gone.
-        Control[I].SelfFloor = !CrashedMirror[I];
+        T.SelfFloor = !T.Crashed;
       } else if (Ch.NewThreads > 0) {
-        Control[I].SelfFloor = false;
+        T.SelfFloor = false;
       }
-      TenantDirective D;
-      D.SpecIndex = static_cast<uint32_t>(I);
-      D.CountLeaseChange = true;
-      D.Pause = !CrashedMirror[I] && !Control[I].Evicted;
-      Directives[OwnerOf[I]]->post(0, Now, D);
+      // A live tenant loses capacity while it quiesces into the lease.
+      if (!T.Crashed && !T.Evicted)
+        T.PausedUntil = Now + Opts.ReconfigPauseSeconds;
+      ++T.Stats.LeaseChanges;
+      refreshCurves(I);
       journalRecord(Now,
                     Ch.Reason == "expire" ? TraceKind::LeaseExpire
                     : Ch.isGrant()        ? TraceKind::LeaseGrant
@@ -829,26 +597,24 @@ void ColocationEngine::restartArbiter(double Now) {
     // reborn arbiter never hears of them, so release their journaled
     // leases before the survivors are seated.
     for (size_t I = 0; I != N; ++I) {
-      if ((CrashedMirror[I] || Control[I].Evicted) &&
-          Control[I].Granted > 0) {
-        journalRecord(Now, TraceKind::LeaseExpire, Run[I].Stats.Name, 0.0,
-                      static_cast<double>(Control[I].Granted), "restart-gc");
-        Control[I].Granted = 0;
-        TenantDirective D;
-        D.SpecIndex = static_cast<uint32_t>(I);
-        Directives[OwnerOf[I]]->post(0, Now, D);
+      TenantRuntime &T = Run[I];
+      if ((T.Crashed || T.Evicted) && T.Granted > 0) {
+        journalRecord(Now, TraceKind::LeaseExpire, T.Stats.Name, 0.0,
+                      static_cast<double>(T.Granted), "restart-gc");
+        T.Granted = 0;
+        refreshCurves(I);
       }
     }
     for (size_t I = 0; I != N; ++I) {
-      if (CrashedMirror[I] || Control[I].Evicted)
+      const TenantRuntime &T = Run[I];
+      if (T.Crashed || T.Evicted)
         continue;
       Ids[I] = Arb->addTenant(Specs[I].Tenant, Now, nullptr);
       if (Warm)
         // Re-registering is itself proof of liveness; journal it so a
         // (later) warm restart and the invariant checker see it.
-        journalRecord(Now, TraceKind::Heartbeat, Run[I].Stats.Name,
-                      static_cast<double>(Control[I].Granted), 0.0,
-                      "re-register");
+        journalRecord(Now, TraceKind::Heartbeat, T.Stats.Name,
+                      static_cast<double>(T.Granted), 0.0, "re-register");
     }
     if (Warm)
       Arb->warmStart(Result.ProtocolJournal);
@@ -858,18 +624,19 @@ void ColocationEngine::restartArbiter(double Now) {
     // re-aligned with the journal and the batch is usually empty.
     std::vector<LeaseChange> Shrink, Grow;
     for (size_t I = 0; I != N; ++I) {
-      if (CrashedMirror[I] || Control[I].Evicted)
+      const TenantRuntime &T = Run[I];
+      if (T.Crashed || T.Evicted)
         continue;
       const unsigned New = Arb->leaseOf(Ids[I]).Threads;
-      if (New == Control[I].Granted)
+      if (New == T.Granted)
         continue;
       LeaseChange C;
-      C.Tenant = Run[I].Stats.Name;
+      C.Tenant = T.Stats.Name;
       C.Time = Now;
-      C.OldThreads = Control[I].Granted;
+      C.OldThreads = T.Granted;
       C.NewThreads = New;
       C.Reason = "restart";
-      (New < Control[I].Granted ? Shrink : Grow).push_back(std::move(C));
+      (New < T.Granted ? Shrink : Grow).push_back(std::move(C));
     }
     applyChanges(Shrink, Now);
     applyChanges(Grow, Now);
@@ -885,24 +652,14 @@ void ColocationEngine::restartArbiter(double Now) {
 
 ColocationSimResult ColocationEngine::run() {
   setup();
-
-  ShardedSimOptions EngineOpts;
-  EngineOpts.Shards = Shards;
-  EngineOpts.Threads = Opts.ShardThreads;
-  EngineOpts.LookaheadSeconds = EpochLen;
-  EngineOpts.Seed = Opts.Seed;
-  ShardedSim Engine(
-      EngineOpts, [this](ShardContext &Ctx) { runShardEpoch(Ctx); },
-      [this](double) { return coordinatorBarrier(); });
-  Engine.run();
+  while (runWindow())
+    epochBoundary();
 
   Result.DurationSeconds = Opts.DurationSeconds;
   Result.LeaseChanges = TotalLeaseChanges;
   for (size_t I = 0; I != N; ++I)
     Result.Tenants.push_back(std::move(Run[I].Stats));
   Result.Fairness = summarizeTenants(Result.Tenants);
-  for (const ShardClock &C : Clocks)
-    Result.SimulatedEvents += C.SimEvents;
   return Result;
 }
 
@@ -931,9 +688,20 @@ double ColocationSim::serviceLatency(const ColocationTenantSpec &Spec,
 ColocationSim::ColocationSim(std::vector<ColocationTenantSpec> Tenants,
                              ColocationSimOptions Options)
     : Specs(std::move(Tenants)), Opts(std::move(Options)) {
-  assert(!Specs.empty() && "colocation needs at least one tenant");
-  assert(Opts.Contexts >= Specs.size() && "a thread per tenant, minimum");
-  assert(Opts.StepSeconds > 0.0 && Opts.DurationSeconds > 0.0);
+  if (Specs.empty())
+    throw std::invalid_argument("ColocationSim: needs at least one tenant");
+  if (Opts.Contexts < Specs.size())
+    throw std::invalid_argument(
+        "ColocationSim: Contexts must give every tenant a thread");
+  // Negated comparisons also reject NaN; a zero step or epoch would
+  // never advance the clock.
+  if (!(Opts.StepSeconds > 0.0))
+    throw std::invalid_argument("ColocationSim: StepSeconds must be > 0");
+  if (!(Opts.DurationSeconds > 0.0))
+    throw std::invalid_argument("ColocationSim: DurationSeconds must be > 0");
+  if (!(Opts.Arbiter.EpochSeconds > 0.0))
+    throw std::invalid_argument(
+        "ColocationSim: Arbiter.EpochSeconds must be > 0");
 }
 
 ColocationSimResult ColocationSim::run() {

@@ -149,21 +149,6 @@ struct ColocationSimOptions {
   uint64_t Seed = 42;
   double DurationSeconds = 300.0;
 
-  /// Simulation shards: tenants are partitioned round-robin across this
-  /// many shards, each advanced by its own worker thread between
-  /// conservative epoch barriers (lookahead = one arbiter epoch; see
-  /// sim/ShardedSim.h and DESIGN.md §14). Results are bit-identical for
-  /// every value — the per-tenant RNG streams, the coordinator's serial
-  /// decision order, and the mailbox protocol are all independent of the
-  /// partition — so > 1 buys wall-clock parallelism only. 1 (default)
-  /// runs inline on the calling thread with no synchronization.
-  unsigned Shards = 1;
-
-  /// Worker threads driving the shards (ShardedSimOptions::Threads):
-  /// 0 = auto-size to the host, so wide shard sweeps stay fast on
-  /// few-core machines. Results are independent of this value.
-  unsigned ShardThreads = 0;
-
   /// Fluid-step quantum.
   double StepSeconds = 0.05;
 
@@ -212,9 +197,8 @@ struct ColocationSimResult {
   double DurationSeconds = 0.0;
 
   /// Work-proportional simulated-event count: one per tenant-step
-  /// update plus one per arrival and per completion. Invariant across
-  /// shard counts (the differential tests assert it), so events/s =
-  /// SimulatedEvents / wall time is the shard-scaling metric
+  /// update plus one per arrival and per completion. Events/s =
+  /// SimulatedEvents / wall time is the simulator-rate metric
   /// bench/ext_scale and the perf suite report.
   uint64_t SimulatedEvents = 0;
 
@@ -230,6 +214,9 @@ struct ColocationSimResult {
 
 class ColocationSim {
 public:
+  /// Throws std::invalid_argument for an empty tenant list, fewer
+  /// Contexts than tenants, or a non-positive StepSeconds,
+  /// DurationSeconds or Arbiter.EpochSeconds.
   ColocationSim(std::vector<ColocationTenantSpec> Tenants,
                 ColocationSimOptions Options);
 

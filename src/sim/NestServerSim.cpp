@@ -222,7 +222,13 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
 
       std::optional<RegionConfig> Next =
           Mech->reconfigure(*Root, Snap, Config, Ctx);
-      const bool Changed = Next && !(*Next == Config);
+      bool Changed = Next && !(*Next == Config);
+      // A malformed proposal is a mechanism bug: count it and keep
+      // running the current config.
+      if (Changed && !validateConfig(*Root, *Next)) {
+        ++Result.InvalidProposals;
+        Changed = false;
+      }
       if (Sink) {
         const RegionConfig &Chosen = Changed ? *Next : Config;
         Sink->recordAt(Now, TraceKind::Decision, Mech->name(),

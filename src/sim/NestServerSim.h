@@ -99,6 +99,9 @@ struct NestSimOptions {
 struct NestSimResult {
   ResponseStats Stats;
   uint64_t Reconfigurations = 0;
+  /// Proposals rejected by validateConfig (a mechanism bug); the
+  /// running config stayed in force.
+  uint64_t InvalidProposals = 0;
   /// Inner-extent decisions over time, for traces.
   TimeSeries InnerExtentTrace{"inner-extent"};
   /// Total virtual time of the run.

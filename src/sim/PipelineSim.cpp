@@ -550,7 +550,13 @@ private:
       RegionConfig Config = currentConfig();
       std::optional<RegionConfig> Next =
           Mech->reconfigure(Root, buildSnapshot(), Config, Ctx);
-      const bool Changed = Next && !(*Next == Config);
+      bool Changed = Next && !(*Next == Config);
+      // A malformed proposal (wrong arity, bad extent or alternative) is
+      // a mechanism bug: count it and keep running the current config.
+      if (Changed && !validateConfig(Root, *Next)) {
+        ++InvalidProposals;
+        Changed = false;
+      }
       if (Trace) {
         const RegionConfig &Chosen = Changed ? *Next : Config;
         Trace->recordAt(Events.now(), TraceKind::Decision, Mech->name(),
@@ -726,6 +732,7 @@ private:
   uint64_t Fed = 0;
   uint64_t ItemsDone = 0;
   uint64_t Reconfigs = 0;
+  uint64_t InvalidProposals = 0;
   bool Paused = false;
   double LastUpdate = 0.0;
   double CurrentRate = 1.0;
@@ -801,6 +808,7 @@ PipelineSimResult Engine::run() {
   Result.PowerSeries = PowerTrace;
   Result.ThreadsSeries = ThreadsTrace;
   Result.Reconfigurations = Reconfigs;
+  Result.InvalidProposals = InvalidProposals;
   Result.FinalExtents = Extents;
   Result.EndedFused = ActiveAlt == 1;
   Result.Faults.ContextsKilled = DeadContexts;

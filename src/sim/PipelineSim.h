@@ -173,6 +173,9 @@ struct PipelineSimResult {
   /// Total configured threads over time.
   TimeSeries ThreadsSeries{"threads"};
   uint64_t Reconfigurations = 0;
+  /// Proposals rejected by validateConfig (a mechanism bug); the
+  /// running config stayed in force.
+  uint64_t InvalidProposals = 0;
   /// Extents per stage at the end of the run.
   std::vector<unsigned> FinalExtents;
   /// True when the run ended on the fused alternative.

@@ -11,6 +11,8 @@
 #include "mechanisms/WqLinear.h"
 #include "mechanisms/WqtH.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 using namespace dope;
@@ -95,6 +97,30 @@ TEST(NestServerSim, ArrivalRateMatchesLoadFactorDefinition) {
   EXPECT_NEAR(Sim.maxThroughput(), 24.0 / App.Model.SeqServiceSeconds,
               1e-12);
   EXPECT_NEAR(Sim.arrivalRate(), 0.5 * Sim.maxThroughput(), 1e-12);
+}
+
+TEST(NestServerSim, MalformedProposalsAreRejectedAndTheRunCompletes) {
+  NestAppBundle App = makeX264App();
+  Tracer Trace(1 << 16);
+  NestSimOptions Opts = quickOptions(0.5);
+  Opts.TraceSink = &Trace;
+  NestServerSim Sim(App.Model, Opts);
+  testing_helpers::MalformedProposalMechanism Mech;
+  const NestSimResult R = Sim.run(&Mech, 6, 4);
+  EXPECT_EQ(R.Stats.count(), Opts.NumTransactions);
+  EXPECT_GE(Mech.Consults, 3u);
+  EXPECT_EQ(R.InvalidProposals, Mech.Consults);
+  EXPECT_EQ(R.Reconfigurations, 0u);
+  // Each rejected proposal is traced as the config that kept running.
+  size_t Decisions = 0;
+  for (const TraceRecord &Rec : Trace.drain()) {
+    if (Rec.Kind != TraceKind::Decision)
+      continue;
+    ++Decisions;
+    EXPECT_EQ(Rec.B, 0.0);
+    EXPECT_EQ(Rec.A, 24.0);
+  }
+  EXPECT_EQ(Decisions, Mech.Consults);
 }
 
 TEST(NestServerSim, WqtHAdaptsBetweenModes) {

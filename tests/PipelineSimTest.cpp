@@ -13,6 +13,8 @@
 #include "mechanisms/Tbf.h"
 #include "mechanisms/Tpc.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 using namespace dope;
@@ -37,6 +39,32 @@ PipelineAppModel tinyApp() {
   App.OversubPenalty = 0.1;
   App.ThreadOverheadPenalty = 0.1;
   return App;
+}
+
+TEST(PipelineSim, MalformedProposalsAreRejectedAndTheRunCompletes) {
+  // Without validation a wrong-arity proposal reads past the extent
+  // vector (release build) or trips an assert (checked build).
+  Tracer Trace(1 << 16);
+  PipelineSimOptions Opts = quickOptions(300);
+  Opts.TraceSink = &Trace;
+  PipelineSim Sim(tinyApp(), Opts);
+  testing_helpers::MalformedProposalMechanism Mech;
+  const PipelineSimResult R = Sim.run(&Mech, {1, 4, 1});
+  EXPECT_EQ(R.ItemsCompleted, 300u);
+  EXPECT_GE(Mech.Consults, 3u);
+  EXPECT_EQ(R.InvalidProposals, Mech.Consults);
+  EXPECT_EQ(R.Reconfigurations, 0u);
+  EXPECT_EQ(R.FinalExtents, (std::vector<unsigned>{1, 4, 1}));
+  // Each rejected proposal is traced as the config that kept running.
+  size_t Decisions = 0;
+  for (const TraceRecord &Rec : Trace.drain()) {
+    if (Rec.Kind != TraceKind::Decision)
+      continue;
+    ++Decisions;
+    EXPECT_EQ(Rec.B, 0.0);
+    EXPECT_EQ(Rec.A, 6.0);
+  }
+  EXPECT_EQ(Decisions, Mech.Consults);
 }
 
 TEST(PipelineSim, CompletesAllItems) {

@@ -16,6 +16,7 @@
 #define DOPE_TESTS_TESTHELPERS_H
 
 #include "core/Config.h"
+#include "core/Mechanism.h"
 #include "core/Monitor.h"
 #include "core/Task.h"
 #include "support/Random.h"
@@ -178,6 +179,36 @@ inline RegionSnapshot makeServerSnapshot(const ServerNestGraph &G,
   Snap.Tasks.push_back(std::move(Outer));
   return Snap;
 }
+
+/// A buggy mechanism: every consult proposes a structurally invalid
+/// variant of the running config, cycling through an extra inner config
+/// (wrong inner arity), an extra top-level task (wrong region arity) and
+/// a zero extent. Hosts must reject each one and keep running.
+class MalformedProposalMechanism : public Mechanism {
+public:
+  std::string name() const override { return "Malformed"; }
+
+  std::optional<RegionConfig> reconfigure(const ParDescriptor &,
+                                          const RegionSnapshot &,
+                                          const RegionConfig &Current,
+                                          const MechanismContext &) override {
+    RegionConfig Bad = Current;
+    switch (Consults++ % 3) {
+    case 0:
+      Bad.Tasks.front().Inner.push_back(TaskConfig());
+      break;
+    case 1:
+      Bad.Tasks.push_back(Current.Tasks.front());
+      break;
+    default:
+      Bad.Tasks.front().Extent = 0;
+      break;
+    }
+    return Bad;
+  }
+
+  unsigned Consults = 0;
+};
 
 } // namespace testing_helpers
 } // namespace dope

@@ -8,7 +8,7 @@
 /// \file
 /// The what-if analysis stack, bottom up: spawn-DAG reconstruction from
 /// task-instance traces (including lenient reads of torn or garbage
-/// lines and shard-merge order independence), critical-path attribution
+/// lines and per-thread-merge order independence), critical-path attribution
 /// on hand-built DAGs, the throughput projection against the simulator's
 /// own analytic bound, recommendation determinism, and the committed
 /// golden artifacts (trace, recommendations, warm-start hint, colocation
@@ -144,12 +144,12 @@ TEST(TaskDag, OrderInvariantUnderShuffleAndShardMerge) {
   std::shuffle(Shuffled.begin(), Shuffled.end(), Rng);
   expectSameDag(Oracle, TaskDag::build(std::move(Shuffled)));
 
-  // A sharded run's post-merge trace: records dealt round-robin to three
-  // shards, then concatenated shard by shard (per-shard order intact,
-  // global order scrambled).
+  // A multi-threaded run's post-merge trace: records dealt round-robin
+  // to three per-thread rings, then concatenated ring by ring (per-ring
+  // order intact, global order scrambled).
   std::vector<TraceRecord> Merged;
-  for (size_t Shard = 0; Shard != 3; ++Shard)
-    for (size_t I = Shard; I < Records.size(); I += 3)
+  for (size_t Ring = 0; Ring != 3; ++Ring)
+    for (size_t I = Ring; I < Records.size(); I += 3)
       Merged.push_back(Records[I]);
   expectSameDag(Oracle, TaskDag::build(std::move(Merged)));
 }
