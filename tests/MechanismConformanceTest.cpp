@@ -153,6 +153,16 @@ TEST_P(MechanismConformance, TracedReplayRecordsEveryConsult) {
   EXPECT_EQ(AcceptedRecords, Result.Decisions.size());
 }
 
+// gtest appends the printed parameter to each discovered ctest name. Its
+// default printer dumps the struct's bytes, i.e. the string pointers,
+// which move with every load of the binary, so the names would change
+// from build to build. Print the strings instead.
+namespace dope {
+static void PrintTo(const ConformanceCase &Case, std::ostream *OS) {
+  *OS << Case.MechanismName << " on " << Case.StreamName;
+}
+} // namespace dope
+
 static std::string caseName(
     const ::testing::TestParamInfo<ConformanceCase> &Info) {
   std::string Name = Info.param.decisionsFile();
@@ -165,3 +175,8 @@ static std::string caseName(
 INSTANTIATE_TEST_SUITE_P(Golden, MechanismConformance,
                          ::testing::ValuesIn(conformanceCases()),
                          caseName);
+
+TEST(MechanismConformanceNames, ParamPrintsWithoutAddresses) {
+  const ConformanceCase Case{"TB", "pipeline-lease-steps", "TB-lease"};
+  EXPECT_EQ(::testing::PrintToString(Case), "TB on pipeline-lease-steps");
+}
