@@ -25,7 +25,8 @@
 ///     deques vs the central mutex queue on an identical recursive
 ///     splitting tree at 8 threads (see src/queue/StealScheduler.h).
 ///   * tracing: the same NestServerSim run with and without a TraceSink
-///     plus JSONL export; reports the overhead fraction.
+///     plus JSONL export and read-back; reports the overhead fraction
+///     and the export and import times (recorded, not gated).
 ///   * end to end: wall time of fig2_transcode and fig11_response_time,
 ///     located next to this binary.
 ///
@@ -827,6 +828,16 @@ int main(int Argc, char **Argv) {
   std::ostringstream TraceOut;
   writeTraceJsonl(Records, TraceOut);
   const double ExportSec = secondsSince(ExportStart);
+  std::istringstream TraceIn(TraceOut.str());
+  const auto ImportStart = SteadyClock::now();
+  const std::optional<std::vector<TraceRecord>> Imported =
+      readTraceJsonl(TraceIn);
+  const double ImportSec = secondsSince(ImportStart);
+  if (!Imported || Imported->size() != Records.size()) {
+    std::fprintf(stderr, "error: trace import read %zu of %zu records\n",
+                 Imported ? Imported->size() : size_t(0), Records.size());
+    return 1;
+  }
   const double TracingOverhead =
       NestUntracedSec > 0.0 ? (TracedSec - NestUntracedSec) / NestUntracedSec
                             : 0.0;
@@ -835,6 +846,7 @@ int main(int Argc, char **Argv) {
   Tracing.set("traced_seconds", JsonValue(TracedSec));
   Tracing.set("overhead_fraction", JsonValue(TracingOverhead));
   Tracing.set("export_seconds", JsonValue(ExportSec));
+  Tracing.set("import_seconds", JsonValue(ImportSec));
   Tracing.set("records_exported", JsonValue(uint64_t(Records.size())));
   Tracing.set("jsonl_bytes", JsonValue(uint64_t(TraceOut.str().size())));
   Out.set("tracing", std::move(Tracing));
@@ -880,6 +892,7 @@ int main(int Argc, char **Argv) {
             Table::formatDouble(StealSpeedup, 2)});
   T.addRow({"tracing run overhead", Table::formatDouble(TracingOverhead, 3)});
   T.addRow({"trace export (s)", Table::formatDouble(ExportSec, 4)});
+  T.addRow({"trace import (s)", Table::formatDouble(ImportSec, 4)});
   if (Fig2Sec >= 0.0)
     T.addRow({"fig2_transcode wall (s)", Table::formatDouble(Fig2Sec, 2)});
   if (Fig11Sec >= 0.0)

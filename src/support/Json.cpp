@@ -8,6 +8,7 @@
 #include "support/Json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,15 +88,20 @@ void JsonValue::escapeTo(std::string &Out, std::string_view S) {
 }
 
 void JsonValue::appendNumber(std::string &Out, double D) {
-  if (std::isfinite(D) && D == std::floor(D) && std::abs(D) < 1e15) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(D));
-    Out += Buf;
+  char Buf[40];
+  if (!std::isfinite(D)) {
+    const int N = std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+    Out.append(Buf, static_cast<size_t>(N));
     return;
   }
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-  Out += Buf;
+  // to_chars in general format with precision 17 is defined as %.17g, so
+  // these are the snprintf bytes the goldens were written with.
+  const std::to_chars_result R =
+      D == std::floor(D) && std::abs(D) < 1e15
+          ? std::to_chars(Buf, Buf + sizeof(Buf), static_cast<long long>(D))
+          : std::to_chars(Buf, Buf + sizeof(Buf), D, std::chars_format::general,
+                          17);
+  Out.append(Buf, R.ptr);
 }
 
 void JsonValue::dumpTo(std::string &Out) const {
@@ -155,6 +161,12 @@ std::string JsonValue::dump() const {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// True for every character strtod can consume as part of a number.
+bool isNumberChar(char C) {
+  return std::isalnum(static_cast<unsigned char>(C)) || C == '+' ||
+         C == '-' || C == '.' || C == '(' || C == ')' || C == '_';
+}
 
 struct Parser {
   std::string_view Text;
@@ -326,13 +338,20 @@ bool Parser::parseValue(JsonValue &Out) {
     Out = JsonValue();
     return true;
   }
-  // Number.
-  const char *Begin = Text.data() + Pos;
+  // Number. strtod reads until a character that cannot continue the
+  // number, which may lie past the end of the view; it gets a terminated
+  // copy of the longest run it could consume instead. That run holds
+  // every character of the token (digits, sign, exponent, hex, inf, nan),
+  // so the value and the length consumed are those of the unbounded read.
+  size_t RunEnd = Pos;
+  while (RunEnd < Text.size() && isNumberChar(Text[RunEnd]))
+    ++RunEnd;
+  const std::string Token(Text.substr(Pos, RunEnd - Pos));
   char *End = nullptr;
-  const double D = std::strtod(Begin, &End);
-  if (End == Begin)
+  const double D = std::strtod(Token.c_str(), &End);
+  if (End == Token.c_str())
     return fail("invalid value");
-  Pos += static_cast<size_t>(End - Begin);
+  Pos += static_cast<size_t>(End - Token.c_str());
   Out = JsonValue(D);
   return true;
 }

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 
@@ -174,10 +176,13 @@ std::vector<TraceRecord> Tracer::drain() {
     Buf->Ring.clear();
     Buf->Head = 0;
   }
-  std::stable_sort(Out.begin(), Out.end(),
-                   [](const TraceRecord &L, const TraceRecord &R) {
-                     return L.Time < R.Time;
-                   });
+  const auto ByTime = [](const TraceRecord &L, const TraceRecord &R) {
+    return L.Time < R.Time;
+  };
+  // A single writer's ring is usually in time order already (simulator
+  // traces have one writer); a stable sort would leave it unchanged.
+  if (!std::is_sorted(Out.begin(), Out.end(), ByTime))
+    std::stable_sort(Out.begin(), Out.end(), ByTime);
   return Out;
 }
 
@@ -271,86 +276,152 @@ void dope::writeTraceJsonl(const std::vector<TraceRecord> &Records,
   flushBuffer(Buf, OS, /*Force=*/true);
 }
 
-std::optional<std::vector<TraceRecord>>
-dope::readTraceJsonl(std::istream &IS, std::string *Error) {
+namespace {
+
+bool isThreadIndex(double Tid) {
+  return Tid >= 0.0 && Tid < 4294967296.0 && Tid == std::floor(Tid);
+}
+
+/// Steps past \p Lit when the text at \p P starts with it.
+bool scanLiteral(const char *&P, const char *End, std::string_view Lit) {
+  if (static_cast<size_t>(End - P) < Lit.size() ||
+      std::string_view(P, Lit.size()) != Lit)
+    return false;
+  P += Lit.size();
+  return true;
+}
+
+/// Scans a string body without escapes and its closing quote.
+bool scanString(const char *&P, const char *End, std::string_view &Out) {
+  const char *Begin = P;
+  for (; P != End && *P != '"'; ++P)
+    if (*P == '\\')
+      return false;
+  if (P == End)
+    return false;
+  Out = std::string_view(Begin, static_cast<size_t>(P++ - Begin));
+  return true;
+}
+
+/// Scans a number that starts with a digit, or '-' and a digit, and fits
+/// a double. Other forms strtod takes (inf, nan, '+', ".5", hex) and
+/// out-of-range magnitudes are left to the parser.
+bool scanNumber(const char *&P, const char *End, double &Out) {
+  const char *Digit = P != End && *P == '-' ? P + 1 : P;
+  if (Digit == End || *Digit < '0' || *Digit > '9')
+    return false;
+  const std::from_chars_result R = std::from_chars(P, End, Out);
+  P = R.ptr;
+  return R.ec == std::errc();
+}
+
+/// Reads \p Line straight into \p R when it is exactly what
+/// writeTraceJsonl writes: keys in its order with no whitespace, plain
+/// numbers, strings without escapes, a known kind and a valid tid.
+/// Returns false on anything else, and the line goes to parseRecord,
+/// which reads the same values from every line this accepts.
+bool scanRecord(std::string_view Line, TraceRecord &R) {
+  const char *P = Line.data();
+  const char *End = P + Line.size();
+  std::string_view Kind, Name, Detail;
+  double Tid = 0.0;
+  if (!scanLiteral(P, End, "{\"t\":") || !scanNumber(P, End, R.Time) ||
+      !scanLiteral(P, End, ",\"kind\":\"") || !scanString(P, End, Kind) ||
+      !scanLiteral(P, End, ",\"tid\":") || !scanNumber(P, End, Tid) ||
+      !scanLiteral(P, End, ",\"name\":\"") || !scanString(P, End, Name))
+    return false;
+  if (scanLiteral(P, End, ",\"a\":") && !scanNumber(P, End, R.A))
+    return false;
+  if (scanLiteral(P, End, ",\"b\":") && !scanNumber(P, End, R.B))
+    return false;
+  if (scanLiteral(P, End, ",\"detail\":\"") && !scanString(P, End, Detail))
+    return false;
+  const std::optional<TraceKind> K = traceKindFromString(Kind);
+  if (!scanLiteral(P, End, "}") || P != End || !K || !isThreadIndex(Tid))
+    return false;
+  R.Kind = *K;
+  R.Tid = static_cast<uint32_t>(Tid);
+  R.Name.assign(Name);
+  R.Detail.assign(Detail);
+  return true;
+}
+
+/// Reads \p Line through JsonValue into every field of \p R. Returns why
+/// the line is not a record, or an empty string when it is one.
+std::string parseRecord(std::string_view Line, TraceRecord &R) {
+  std::string Error;
+  std::optional<JsonValue> V = JsonValue::parse(Line, &Error);
+  if (!V)
+    return Error;
+  if (!V->isObject())
+    return "not an object";
+  std::optional<TraceKind> Kind = traceKindFromString(V->getString("kind"));
+  if (!Kind)
+    return "unknown kind '" + V->getString("kind") + "'";
+  const double Tid = V->getNumber("tid");
+  if (!isThreadIndex(Tid)) {
+    Error = "tid ";
+    JsonValue::appendNumber(Error, Tid);
+    return Error + " is not an integer in [0, 2^32)";
+  }
+  R.Time = V->getNumber("t");
+  R.Kind = *Kind;
+  R.Tid = static_cast<uint32_t>(Tid);
+  R.Name = V->getString("name");
+  R.A = V->getNumber("a");
+  R.B = V->getNumber("b");
+  R.Detail = V->getString("detail");
+  return Error;
+}
+
+/// The one reader loop: one line at a time, blank lines ignored. Strict
+/// mode stops at the first line that is not a record.
+std::vector<TraceRecord> readLines(std::istream &IS, bool Strict,
+                                   TraceReadStats &Stats) {
+  Stats = TraceReadStats();
   std::vector<TraceRecord> Out;
   std::string Line;
-  size_t LineNo = 0;
+  uint64_t LineNo = 0;
   while (std::getline(IS, Line)) {
     ++LineNo;
     if (Line.empty())
       continue;
-    std::string ParseError;
-    std::optional<JsonValue> V = JsonValue::parse(Line, &ParseError);
-    if (!V || !V->isObject()) {
-      if (Error)
-        *Error = "line " + std::to_string(LineNo) + ": " +
-                 (ParseError.empty() ? "not an object" : ParseError);
-      return std::nullopt;
-    }
-    std::optional<TraceKind> Kind =
-        traceKindFromString(V->getString("kind"));
-    if (!Kind) {
-      if (Error)
-        *Error = "line " + std::to_string(LineNo) + ": unknown kind '" +
-                 V->getString("kind") + "'";
-      return std::nullopt;
-    }
     TraceRecord R;
-    R.Time = V->getNumber("t");
-    R.Kind = *Kind;
-    R.Tid = static_cast<uint32_t>(V->getNumber("tid"));
-    R.Name = V->getString("name");
-    R.A = V->getNumber("a");
-    R.B = V->getNumber("b");
-    R.Detail = V->getString("detail");
+    if (!scanRecord(Line, R)) {
+      if (std::string Error = parseRecord(Line, R); !Error.empty()) {
+        if (Stats.Skipped++ == 0) {
+          Stats.FirstSkippedLine = LineNo;
+          Stats.FirstError = std::move(Error);
+        }
+        if (Strict)
+          break;
+        continue;
+      }
+    }
+    ++Stats.Parsed;
     Out.push_back(std::move(R));
   }
   return Out;
 }
 
+} // namespace
+
+std::optional<std::vector<TraceRecord>>
+dope::readTraceJsonl(std::istream &IS, std::string *Error) {
+  TraceReadStats Stats;
+  std::vector<TraceRecord> Out = readLines(IS, /*Strict=*/true, Stats);
+  if (Stats.Skipped == 0)
+    return Out;
+  if (Error)
+    *Error = "line " + std::to_string(Stats.FirstSkippedLine) + ": " +
+             Stats.FirstError;
+  return std::nullopt;
+}
+
 std::vector<TraceRecord> dope::readTraceJsonlLenient(std::istream &IS,
                                                      TraceReadStats *Stats) {
-  std::vector<TraceRecord> Out;
   TraceReadStats Local;
-  std::string Line;
-  uint64_t LineNo = 0;
-  auto Skip = [&](std::string Why) {
-    if (Local.Skipped == 0) {
-      Local.FirstSkippedLine = LineNo;
-      Local.FirstError = std::move(Why);
-    }
-    ++Local.Skipped;
-  };
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::string ParseError;
-    std::optional<JsonValue> V = JsonValue::parse(Line, &ParseError);
-    if (!V || !V->isObject()) {
-      Skip(ParseError.empty() ? "not an object" : ParseError);
-      continue;
-    }
-    std::optional<TraceKind> Kind = traceKindFromString(V->getString("kind"));
-    if (!Kind) {
-      Skip("unknown kind '" + V->getString("kind") + "'");
-      continue;
-    }
-    TraceRecord R;
-    R.Time = V->getNumber("t");
-    R.Kind = *Kind;
-    R.Tid = static_cast<uint32_t>(V->getNumber("tid"));
-    R.Name = V->getString("name");
-    R.A = V->getNumber("a");
-    R.B = V->getNumber("b");
-    R.Detail = V->getString("detail");
-    ++Local.Parsed;
-    Out.push_back(std::move(R));
-  }
-  if (Stats)
-    *Stats = std::move(Local);
-  return Out;
+  return readLines(IS, /*Strict=*/false, Stats ? *Stats : Local);
 }
 
 void dope::writeChromeTrace(const std::vector<TraceRecord> &Records,

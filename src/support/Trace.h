@@ -225,8 +225,9 @@ void writeChromeTrace(const std::vector<TraceRecord> &Records,
 void writeTraceJsonl(const std::vector<TraceRecord> &Records,
                      std::ostream &OS);
 
-/// Reads the JSONL form back. Unknown kinds and malformed lines abort
-/// the read with an error. Returns std::nullopt on failure.
+/// Reads the JSONL form back. Unknown kinds, malformed lines and a "tid"
+/// that is not an integer in [0, 2^32) abort the read with an error
+/// naming the line. Returns std::nullopt on failure.
 std::optional<std::vector<TraceRecord>>
 readTraceJsonl(std::istream &IS, std::string *Error = nullptr);
 
@@ -237,7 +238,8 @@ readTraceJsonl(std::istream &IS, std::string *Error = nullptr);
 struct TraceReadStats {
   /// Records successfully parsed.
   uint64_t Parsed = 0;
-  /// Lines skipped (malformed JSON, non-objects, unknown kinds).
+  /// Lines skipped (malformed JSON, non-objects, unknown kinds, bad
+  /// tids).
   uint64_t Skipped = 0;
   /// 1-based line number and message of the first skipped line.
   uint64_t FirstSkippedLine = 0;

@@ -129,8 +129,8 @@ TEST(Builders, PipelineSurvivesReconfiguration) {
     return I;
   });
   B.stage<int, int>("work", [](int X) {
-    for (volatile int Spin = 0; Spin < 500; ++Spin) {
-    }
+    for (volatile int Spin = 0; Spin < 500;)
+      Spin = Spin + 1;
     return X;
   });
   B.sink<int>("add", [&](int X) { Sum.fetch_add(X); });
@@ -164,8 +164,8 @@ TEST(Builders, BoundedQueuesGiveBackpressure) {
     return I;
   });
   B.sink<int>("add", [&](int X) {
-    for (volatile int Spin = 0; Spin < 2000; ++Spin) {
-    }
+    for (volatile int Spin = 0; Spin < 2000;)
+      Spin = Spin + 1;
     Sum.fetch_add(X);
   });
   ParDescriptor *Pipe = B.build();
@@ -236,14 +236,14 @@ TEST(Builders, NoItemLossUnderReconfigurationChurn) {
     const int I = Next.load();
     if (I >= N)
       return std::nullopt;
-    for (volatile int Spin = 0; Spin < 3000; ++Spin) {
-    }
+    for (volatile int Spin = 0; Spin < 3000;)
+      Spin = Spin + 1;
     Next.store(I + 1);
     return I;
   });
   B.stage<int, int>("work", [](int X) {
-    for (volatile int Spin = 0; Spin < 3000; ++Spin) {
-    }
+    for (volatile int Spin = 0; Spin < 3000;)
+      Spin = Spin + 1;
     return X;
   });
   B.sink<int>("add", [&](int X) { Sum.fetch_add(X); });

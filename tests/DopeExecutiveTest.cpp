@@ -175,8 +175,8 @@ struct PipelineApp {
         return TaskStatus::Finished;
       // Burn a little CPU per item so runs span many monitor intervals.
       Burn += static_cast<int>(*Item == 0);
-      for (volatile int Spin = 0; Spin < 2000; ++Spin) {
-      }
+      for (volatile int Spin = 0; Spin < 2000;)
+        Spin = Spin + 1;
       Consumed.fetch_add(1);
       {
         std::lock_guard<std::mutex> Lock(SeenMutex);

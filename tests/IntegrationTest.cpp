@@ -33,8 +33,6 @@ using namespace dope;
 
 namespace {
 
-std::vector<unsigned> evenFerret() { return {1, 6, 6, 5, 5, 1}; }
-
 TEST(Integration, Figure2LatencyThroughputTradeoff) {
   NestAppBundle App = makeX264App();
   NestSimOptions Opts;

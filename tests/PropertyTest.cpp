@@ -112,16 +112,18 @@ TEST_P(CurveProperty, Invariants) {
     EXPECT_LE(S, P.Cap + 1e-12);
     // The raw curve is increasing in m, and min with a constant keeps
     // monotonicity except across the m=1 fixed-cost cliff.
-    if (M > 2)
+    if (M > 2) {
       EXPECT_GE(S + 1e-12, Previous);
+    }
     EXPECT_LE(C.efficiency(M), 1.0 + 1e-12);
     Previous = S;
   }
   const unsigned DopMin = C.dopMin();
   if (DopMin != 0) {
     EXPECT_GT(C.speedup(DopMin), 1.0);
-    if (DopMin > 2)
+    if (DopMin > 2) {
       EXPECT_LE(C.speedup(DopMin - 1), 1.0);
+    }
   }
 }
 

@@ -29,9 +29,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -94,6 +100,116 @@ TEST(JsonValue, ParseErrorsCarryOffsets) {
   EXPECT_FALSE(JsonValue::parse("[1, 2] trailing", &Error).has_value());
   EXPECT_NE(Error.find("trailing"), std::string::npos);
   EXPECT_FALSE(JsonValue::parse("\"unterminated", &Error).has_value());
+}
+
+TEST(JsonValue, NumbersEndAtTheEndOfTheView) {
+  // The view holds "12" of "12345": the number must not run on into
+  // bytes past its end.
+  std::string Error;
+  std::optional<JsonValue> V =
+      JsonValue::parse(std::string_view("12345", 2), &Error);
+  ASSERT_TRUE(V.has_value()) << Error;
+  EXPECT_EQ(V->asDouble(), 12.0);
+
+  // A view with no terminator after it: a heap copy of exactly its bytes.
+  const std::string_view Source = "[3.5,-1e2]";
+  const std::unique_ptr<char[]> Unterminated(new char[Source.size()]);
+  std::copy(Source.begin(), Source.end(), Unterminated.get());
+  V = JsonValue::parse(std::string_view(Unterminated.get(), Source.size()),
+                       &Error);
+  ASSERT_TRUE(V.has_value()) << Error;
+  EXPECT_EQ(V->at(0).asDouble(), 3.5);
+  EXPECT_EQ(V->at(1).asDouble(), -100.0);
+  V = JsonValue::parse(std::string_view(Unterminated.get(), 3), &Error);
+  EXPECT_FALSE(V.has_value());
+  EXPECT_EQ(Error, "expected ']' at offset 3");
+}
+
+TEST(JsonValue, NonFiniteNumbersStillParse) {
+  // appendNumber writes non-finite values as %.17g does, so the parser
+  // keeps reading them back, and keeps saturating out-of-range input.
+  for (double D : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    std::string Text;
+    JsonValue::appendNumber(Text, D);
+    std::optional<JsonValue> V = JsonValue::parse(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    if (std::isnan(D))
+      EXPECT_TRUE(std::isnan(V->asDouble()));
+    else
+      EXPECT_EQ(V->asDouble(), D);
+  }
+  std::optional<JsonValue> V = JsonValue::parse("[1e400,-1e400,1e-400]");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->at(0).asDouble(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(V->at(1).asDouble(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(V->at(2).asDouble(), 0.0);
+}
+
+/// The number formatting appendNumber had when the goldens were written.
+static std::string snprintfNumber(double D) {
+  char Buf[40];
+  if (std::isfinite(D) && D == std::floor(D) && std::abs(D) < 1e15)
+    std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(D));
+  else
+    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+  return Buf;
+}
+
+static double doubleFromBits(uint64_t Bits) {
+  double D;
+  std::memcpy(&D, &Bits, sizeof(D));
+  return D;
+}
+
+static uint64_t bitsOf(double D) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &D, sizeof(D));
+  return Bits;
+}
+
+TEST(JsonValue, AppendNumberMatchesSnprintf) {
+  Rng R(loggedSeed(0x4A534F4E));
+  std::vector<double> Values = {0.0,
+                                -0.0,
+                                1e15,
+                                -1e15,
+                                1e15 - 1,
+                                1e15 + 1,
+                                -(1e15 - 1),
+                                -(1e15 + 1),
+                                0.1,
+                                1.0 / 3.0,
+                                9007199254740993.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (int I = 0; I != 100000; ++I) {
+    switch (R.uniformInt(4)) {
+    case 0: // any bit pattern: every exponent, subnormals, inf and nan
+      Values.push_back(doubleFromBits(R.next()));
+      break;
+    case 1: // integers on both sides of the 1e15 switch to %.17g
+      Values.push_back(std::floor(R.uniform(-2e15, 2e15)));
+      break;
+    case 2: // trace-like magnitudes: times, rates, fractions
+      Values.push_back(R.uniform(-1.0, 1.0) *
+                       std::pow(10.0, R.uniform(-8.0, 8.0)));
+      break;
+    default: // small integers and halves
+      Values.push_back(static_cast<double>(R.uniformInt(2000)) / 2.0 - 500);
+    }
+  }
+  for (double D : Values) {
+    std::string Got;
+    JsonValue::appendNumber(Got, D);
+    ASSERT_EQ(Got, snprintfNumber(D)) << "bits 0x" << std::hex << bitsOf(D);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -245,10 +361,15 @@ TEST(TraceExport, JsonlRoundTrip) {
 }
 
 TEST(TraceExport, JsonlRejectsUnknownKind) {
-  std::stringstream SS("{\"t\":1,\"kind\":\"nonsense\",\"name\":\"x\"}\n");
+  std::stringstream SS("{\"t\":1,\"kind\":\"nonsense\",\"name\":\"x\"}\n"
+                       "{\"t\":2,\"kind\":\"begin\",\"name\":\"y\"}\n");
   std::string Error;
   EXPECT_FALSE(readTraceJsonl(SS, &Error).has_value());
   EXPECT_NE(Error.find("nonsense"), std::string::npos);
+  // The strict read stops at the bad line; what follows stays unread.
+  std::string Rest;
+  ASSERT_TRUE(std::getline(SS, Rest));
+  EXPECT_EQ(Rest.rfind("{\"t\":2,", 0), 0u);
 }
 
 TEST(TraceExport, LeaseProtocolKindsRoundTrip) {
@@ -315,6 +436,364 @@ TEST(TraceExport, LenientReaderSkipsCorruptionWithHonestCounts) {
   TraceReadStats CleanStats;
   EXPECT_EQ(readTraceJsonlLenient(Clean, &CleanStats).size(), 3u);
   EXPECT_EQ(CleanStats.Skipped, 0u);
+
+  // Stats passed in again describe the latest read only.
+  std::stringstream Again;
+  writeTraceJsonl(sampleRecords(), Again);
+  EXPECT_EQ(readTraceJsonlLenient(Again, &Stats).size(), 3u);
+  EXPECT_EQ(Stats.Parsed, 3u);
+  EXPECT_EQ(Stats.Skipped, 0u);
+  EXPECT_EQ(Stats.FirstSkippedLine, 0u);
+  EXPECT_TRUE(Stats.FirstError.empty());
+}
+
+TEST(TraceExport, TidMustBeAThreadIndex) {
+  for (const char *Tid : {"-1", "1.5", "4294967296", "1e400", "-inf", "nan"}) {
+    const std::string Bad =
+        std::string("{\"t\":2,\"kind\":\"begin\",\"tid\":") + Tid +
+        ",\"name\":\"x\"}\n";
+    std::stringstream Strict("{\"t\":1,\"kind\":\"begin\",\"name\":\"x\"}\n" +
+                             Bad);
+    std::string Error;
+    EXPECT_FALSE(readTraceJsonl(Strict, &Error).has_value()) << Tid;
+    EXPECT_EQ(Error.rfind("line 2: tid ", 0), 0u) << Error;
+
+    std::stringstream Lenient(Bad);
+    TraceReadStats Stats;
+    EXPECT_TRUE(readTraceJsonlLenient(Lenient, &Stats).empty()) << Tid;
+    EXPECT_EQ(Stats.Skipped, 1u);
+    EXPECT_EQ(Stats.FirstSkippedLine, 1u);
+  }
+  std::stringstream Edge(
+      "{\"t\":1,\"kind\":\"begin\",\"tid\":4294967295,\"name\":\"x\"}\n"
+      "{\"t\":1,\"kind\":\"begin\",\"tid\": 4294967295,\"name\":\"x\"}\n");
+  std::string Error;
+  std::optional<std::vector<TraceRecord>> Back = readTraceJsonl(Edge, &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  ASSERT_EQ(Back->size(), 2u);
+  EXPECT_EQ((*Back)[0].Tid, 4294967295u);
+  EXPECT_EQ((*Back)[1].Tid, 4294967295u);
+}
+
+/// Bit-level record equality: distinguishes -0.0 from 0.0 and compares
+/// NaNs by payload.
+static bool sameBits(const TraceRecord &L, const TraceRecord &R) {
+  return bitsOf(L.Time) == bitsOf(R.Time) && L.Kind == R.Kind &&
+         L.Tid == R.Tid && L.Name == R.Name && bitsOf(L.A) == bitsOf(R.A) &&
+         bitsOf(L.B) == bitsOf(R.B) && L.Detail == R.Detail;
+}
+
+/// A string of pieces JSONL must carry: quotes, backslashes, every kind
+/// of control character, multi-byte UTF-8, and JSON punctuation.
+static std::string randomText(Rng &R) {
+  static const char *const Pieces[] = {
+      "a",  "Z",  "7",    " ",    "\"",     "\\",   "/",      "\n",
+      "\t", "\r", "\x01", "\x1f", "\x7f",   "\xc3\xa9", "\xe2\x82\xac",
+      ",",  ":",  "{",    "}",    "\xf0\x9f\x98\x80", "u0041", "rank"};
+  std::string Out;
+  for (uint64_t N = R.uniformInt(12); N != 0; --N)
+    Out += Pieces[R.uniformInt(std::size(Pieces))];
+  if (R.uniformInt(8) == 0)
+    Out += '\0';
+  return Out;
+}
+
+static double randomTraceNumber(Rng &R) {
+  static const double Special[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+      1e15 - 1,
+      1e15,
+      1e15 + 1,
+      -(1e15 - 1),
+      -(1e15 + 1),
+      9007199254740993.0,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  switch (R.uniformInt(4)) {
+  case 0:
+    return Special[R.uniformInt(std::size(Special))];
+  case 1: {
+    const double D = doubleFromBits(R.next());
+    return std::isnan(D) ? 0.5 : D;
+  }
+  case 2:
+    return std::floor(R.uniform(-1e6, 1e6));
+  default:
+    return R.uniform(0.0, 1e4);
+  }
+}
+
+TEST(TraceExport, RandomRecordsRoundTripBitExactly) {
+  Rng R(loggedSeed(0x54524143));
+  std::vector<TraceRecord> Records;
+  for (int I = 0; I != 4000; ++I) {
+    TraceRecord Rec;
+    Rec.Time = randomTraceNumber(R);
+    Rec.Kind = static_cast<TraceKind>(
+        R.uniformInt(static_cast<uint64_t>(TraceKind::Steal) + 1));
+    switch (R.uniformInt(3)) {
+    case 0:
+      Rec.Tid = static_cast<uint32_t>(R.uniformInt(64));
+      break;
+    case 1:
+      Rec.Tid = static_cast<uint32_t>(R.next());
+      break;
+    default:
+      Rec.Tid = std::numeric_limits<uint32_t>::max();
+    }
+    Rec.Name = randomText(R);
+    Rec.A = randomTraceNumber(R);
+    Rec.B = randomTraceNumber(R);
+    Rec.Detail = randomText(R);
+    Records.push_back(std::move(Rec));
+  }
+  std::stringstream SS;
+  writeTraceJsonl(Records, SS);
+  std::string Error;
+  std::optional<std::vector<TraceRecord>> Back = readTraceJsonl(SS, &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  ASSERT_EQ(Back->size(), Records.size());
+  for (size_t I = 0; I != Records.size(); ++I) {
+    // The format has never kept the sign of a zero: -0.0 prints through
+    // the integer branch as "0", and a zero A or B is not written.
+    TraceRecord Expected = Records[I];
+    for (double *D : {&Expected.Time, &Expected.A, &Expected.B})
+      if (*D == 0.0)
+        *D = 0.0;
+    ASSERT_TRUE(sameBits((*Back)[I], Expected)) << "record " << I;
+  }
+}
+
+/// What the JSONL reader read from one line before the scanner existed:
+/// the line through JsonValue::parse, typed lookups with their
+/// fallbacks, and the rule that "tid" is an integer in [0, 2^32).
+struct ReferenceLine {
+  std::optional<TraceRecord> Record;
+  std::string Error;
+};
+
+static ReferenceLine referenceReadLine(const std::string &Line) {
+  ReferenceLine Out;
+  std::optional<JsonValue> V = JsonValue::parse(Line, &Out.Error);
+  if (!V || !V->isObject()) {
+    if (Out.Error.empty())
+      Out.Error = "not an object";
+    return Out;
+  }
+  std::optional<TraceKind> Kind = traceKindFromString(V->getString("kind"));
+  if (!Kind) {
+    Out.Error = "unknown kind '" + V->getString("kind") + "'";
+    return Out;
+  }
+  const double Tid = V->getNumber("tid");
+  if (!(Tid >= 0.0 && Tid < 4294967296.0 && Tid == std::floor(Tid))) {
+    Out.Error = "tid ";
+    JsonValue::appendNumber(Out.Error, Tid);
+    Out.Error += " is not an integer in [0, 2^32)";
+    return Out;
+  }
+  TraceRecord R;
+  R.Time = V->getNumber("t");
+  R.Kind = *Kind;
+  R.Tid = static_cast<uint32_t>(Tid);
+  R.Name = V->getString("name");
+  R.A = V->getNumber("a");
+  R.B = V->getNumber("b");
+  R.Detail = V->getString("detail");
+  Out.Record = std::move(R);
+  return Out;
+}
+
+/// Empty when readTraceJsonl reads \p Line as the reference does: the
+/// same record bit for bit, or the same error text. \p SS is scratch,
+/// reused so the check does not build a stream per line.
+static std::string readMismatch(const std::string &Line,
+                                std::istringstream &SS) {
+  const ReferenceLine Ref = referenceReadLine(Line);
+  SS.clear();
+  SS.str(Line);
+  std::string Error;
+  std::optional<std::vector<TraceRecord>> Got = readTraceJsonl(SS, &Error);
+  if (!Ref.Record) {
+    if (Got)
+      return "accepted, reference says: " + Ref.Error;
+    if (Error != "line 1: " + Ref.Error)
+      return "error '" + Error + "', reference '" + Ref.Error + "'";
+    return {};
+  }
+  if (!Got)
+    return "rejected: " + Error;
+  if (Got->size() != 1 || !sameBits(Got->front(), *Ref.Record))
+    return "read a different record";
+  return {};
+}
+
+/// Textual edits of one line: the forms the scanner must hand back to
+/// the parser, or read exactly as the parser does.
+static std::vector<std::string> mutationsOf(const std::string &Line, Rng &R) {
+  std::vector<std::string> Out;
+  auto replaceAll = [](std::string S, const std::string &From,
+                       const std::string &To) {
+    for (size_t At = S.find(From); At != std::string::npos;
+         At = S.find(From, At + To.size()))
+      S.replace(At, From.size(), To);
+    return S;
+  };
+  Out.push_back(replaceAll(Line, ":", ": "));
+  Out.push_back(replaceAll(Line, ",", " ,"));
+  Out.push_back(" " + Line);
+  Out.push_back(Line + " ");
+  Out.push_back(Line + "\r");
+  Out.push_back(Line + "{}");
+  if (Line.size() > 1 && Line.front() == '{') {
+    const std::string Body = Line.substr(1);
+    Out.push_back("{\"zz\":1," + Body);
+    Out.push_back("{\"zz\":[1,{\"t\":2}],\"\\u0074\":3," + Body);
+    Out.push_back("{\"a\":7," + Body);
+    Out.push_back("{\"kind\":\"fault\"," + Body);
+  }
+  if (Line.size() > 1 && Line.back() == '}') {
+    const std::string Head = Line.substr(0, Line.size() - 1);
+    Out.push_back(Head + ",\"a\":7}");
+    Out.push_back(Head + ",\"kind\":\"steal\"}");
+    Out.push_back(Head + ",\"tid\":3}");
+  }
+  // Escapes inside the string values the scanner copies directly.
+  for (const char *Key : {"\"name\":\"", "\"kind\":\"", "\"detail\":\""}) {
+    const size_t At = Line.find(Key);
+    if (At == std::string::npos)
+      continue;
+    const size_t First = At + std::strlen(Key);
+    std::string Escaped = Line;
+    char Hex[8];
+    std::snprintf(Hex, sizeof(Hex), "\\u%04x",
+                  static_cast<unsigned char>(Line[First]));
+    Escaped.replace(First, 1, Hex);
+    Out.push_back(std::move(Escaped));
+    Out.push_back(Line.substr(0, First) + "\\t" + Line.substr(First));
+  }
+  // Reordered, missing, retyped and non-finite members, built through
+  // JsonValue.
+  if (std::optional<JsonValue> V = JsonValue::parse(Line);
+      V && V->isObject()) {
+    JsonValue Reversed = JsonValue::makeObject();
+    for (auto It = V->members().rbegin(); It != V->members().rend(); ++It)
+      Reversed.set(It->first, It->second);
+    Out.push_back(Reversed.dump());
+    for (const auto &[Dropped, Unused] : V->members()) {
+      JsonValue Without = JsonValue::makeObject();
+      for (const auto &[Key, Value] : V->members())
+        if (Key != Dropped)
+          Without.set(Key, Value);
+      Out.push_back(Without.dump());
+    }
+    const std::pair<const char *, JsonValue> Edits[] = {
+        {"name", JsonValue(5)},
+        {"detail", JsonValue(true)},
+        {"kind", JsonValue(3)},
+        {"t", JsonValue("1")},
+        {"tid", JsonValue("0")},
+        {"a", JsonValue()},
+        {"b", JsonValue::makeArray()}};
+    for (const auto &[Key, Value] : Edits) {
+      JsonValue Edited = *V;
+      Edited.set(Key, Value);
+      Out.push_back(Edited.dump());
+    }
+    static const char *const NumberKeys[] = {"t", "tid", "a", "b"};
+    static const char *const Numbers[] = {
+        "nan", "-nan", "inf",  "-inf", "1e400", "-1e400",     "1e-400",
+        "+1",  ".5",   "0x10", "-",    "1e",    "01",         "1.5",
+        "-0",  "-1",   "1e15", "4294967295",    "4294967296", "2.5e-310",
+        "nan(7)"};
+    for (int I = 0; I != 4; ++I) {
+      const std::string Key = NumberKeys[R.uniformInt(std::size(NumberKeys))];
+      JsonValue Edited = *V;
+      Edited.set(Key, JsonValue(0.25));
+      Out.push_back(replaceAll(Edited.dump(), "\"" + Key + "\":0.25",
+                               "\"" + Key + "\":" +
+                                   Numbers[R.uniformInt(std::size(Numbers))]));
+    }
+  }
+  // Torn lines: a crash can cut a line anywhere.
+  for (int I = 0; I != 2 && !Line.empty(); ++I)
+    Out.push_back(Line.substr(0, R.uniformInt(Line.size())));
+  return Out;
+}
+
+TEST(TraceExport, ReaderMatchesJsonValueReferenceOnGoldenLines) {
+  Rng R(loggedSeed(0x474F4C44));
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(DOPE_GOLDEN_DIR))
+    if (Entry.path().extension() == ".jsonl")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+
+  size_t Lines = 0, Checked = 0, Mismatches = 0;
+  std::istringstream Scratch;
+  for (const std::filesystem::path &File : Files) {
+    std::ifstream IS(File);
+    std::string Line;
+    std::stringstream Mutated;
+    while (std::getline(IS, Line)) {
+      ++Lines;
+      // Every line as written, and a seeded sixteenth of them mutated
+      // (a sanitizer build runs this too); the seed varies the sample.
+      std::vector<std::string> Cases;
+      if (R.uniformInt(16) == 0)
+        Cases = mutationsOf(Line, R);
+      Cases.push_back(Line);
+      for (const std::string &Case : Cases) {
+        ++Checked;
+        Mutated << Case << '\n';
+        if (Case.empty())
+          continue;
+        if (std::string Why = readMismatch(Case, Scratch); !Why.empty())
+          if (++Mismatches <= 5)
+            ADD_FAILURE() << File.filename() << ": " << Why << "\n  line: "
+                          << Case;
+      }
+    }
+
+    // The lenient mode of the same loop over the whole mutated file.
+    std::vector<TraceRecord> Expected;
+    TraceReadStats ExpectedStats;
+    std::string Case;
+    for (uint64_t LineNo = 1; std::getline(Mutated, Case); ++LineNo) {
+      if (Case.empty())
+        continue;
+      ReferenceLine Ref = referenceReadLine(Case);
+      if (Ref.Record) {
+        Expected.push_back(std::move(*Ref.Record));
+        continue;
+      }
+      if (ExpectedStats.Skipped++ == 0) {
+        ExpectedStats.FirstSkippedLine = LineNo;
+        ExpectedStats.FirstError = Ref.Error;
+      }
+    }
+    Mutated.clear();
+    Mutated.seekg(0);
+    TraceReadStats Stats;
+    const std::vector<TraceRecord> Got = readTraceJsonlLenient(Mutated, &Stats);
+    ASSERT_EQ(Got.size(), Expected.size()) << File.filename();
+    for (size_t I = 0; I != Got.size(); ++I)
+      ASSERT_TRUE(sameBits(Got[I], Expected[I])) << File.filename() << " #" << I;
+    EXPECT_EQ(Stats.Parsed, Expected.size());
+    EXPECT_EQ(Stats.Skipped, ExpectedStats.Skipped);
+    EXPECT_EQ(Stats.FirstSkippedLine, ExpectedStats.FirstSkippedLine);
+    EXPECT_EQ(Stats.FirstError, ExpectedStats.FirstError);
+  }
+  EXPECT_EQ(Mismatches, 0u) << "of " << Checked << " lines";
+  EXPECT_GT(Lines, 1000u);
 }
 
 TEST(TraceExport, ChromeTraceIsWellFormedJson) {
