@@ -17,6 +17,7 @@
 #ifndef DOPE_CORE_CONFIG_H
 #define DOPE_CORE_CONFIG_H
 
+#include "core/Monitor.h"
 #include "core/Task.h"
 #include "core/Types.h"
 
@@ -83,6 +84,43 @@ RegionConfig defaultConfig(const ParDescriptor &Region);
 /// nest or "(<1, 6, 6, 6, 6, 1>, PIPE)" for a single pipeline, matching
 /// the notations used in the paper's figures.
 std::string toString(const ParDescriptor &Region, const RegionConfig &Config);
+
+/// Snapshot of \p Region with the extents of \p Active (null where the
+/// region is not configured): structure for every alternative, and the
+/// metrics that \p Measure(Task, TaskSnapshot) fills per task before
+/// Throughput is derived from them.
+template <typename MeasureT>
+RegionSnapshot snapshotRegion(const ParDescriptor &Region,
+                              const std::vector<TaskConfig> *Active,
+                              const MeasureT &Measure) {
+  RegionSnapshot Snap;
+  for (size_t I = 0; I != Region.size(); ++I) {
+    const Task *T = Region.tasks()[I];
+    const TaskConfig *Config =
+        Active && I < Active->size() ? &(*Active)[I] : nullptr;
+
+    TaskSnapshot TS;
+    TS.TaskId = T->id();
+    TS.Name = T->name();
+    TS.Kind = T->kind();
+    Measure(*T, TS);
+    TS.CurrentExtent = Config ? Config->Extent : 0;
+    TS.ActiveAlt = Config ? Config->AltIndex : -1;
+    if (TS.ExecTime > 0.0)
+      TS.Throughput = static_cast<double>(TS.CurrentExtent) / TS.ExecTime;
+
+    const auto &Alts = T->descriptor()->alternatives();
+    for (size_t A = 0; A != Alts.size(); ++A) {
+      const std::vector<TaskConfig> *InnerActive = nullptr;
+      if (Config && Config->AltIndex == static_cast<int>(A))
+        InnerActive = &Config->Inner;
+      TS.InnerAlternatives.push_back(
+          snapshotRegion(*Alts[A], InnerActive, Measure));
+    }
+    Snap.Tasks.push_back(std::move(TS));
+  }
+  return Snap;
+}
 
 } // namespace dope
 

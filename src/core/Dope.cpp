@@ -7,6 +7,8 @@
 
 #include "core/Dope.h"
 
+#include "core/ControlStep.h"
+
 #include "support/Clock.h"
 #include "support/Compiler.h"
 #include "support/Logging.h"
@@ -382,45 +384,18 @@ const TaskMetrics *Dope::metricsForIfPresent(const Task &T) const {
   return T.id() < Metrics.size() ? Metrics[T.id()].get() : nullptr;
 }
 
-RegionSnapshot
-Dope::snapshotRegion(const ParDescriptor &Region,
-                     const std::vector<TaskConfig> *Active) const {
-  RegionSnapshot Snap;
-  for (size_t I = 0; I != Region.size(); ++I) {
-    const Task *T = Region.tasks()[I];
-    const TaskConfig *Config =
-        Active && I < Active->size() ? &(*Active)[I] : nullptr;
-
-    TaskSnapshot TS;
-    TS.TaskId = T->id();
-    TS.Name = T->name();
-    TS.Kind = T->kind();
-    if (const TaskMetrics *M = metricsForIfPresent(*T)) {
-      TS.ExecTime = M->execTime();
-      TS.Load = M->load();
-      TS.LastLoad = M->lastLoad();
-      TS.Invocations = M->invocations();
-    }
-    TS.CurrentExtent = Config ? Config->Extent : 0;
-    TS.ActiveAlt = Config ? Config->AltIndex : -1;
-    if (TS.ExecTime > 0.0)
-      TS.Throughput = static_cast<double>(TS.CurrentExtent) / TS.ExecTime;
-
-    const auto &Alts = T->descriptor()->alternatives();
-    for (size_t A = 0; A != Alts.size(); ++A) {
-      const std::vector<TaskConfig> *InnerActive = nullptr;
-      if (Config && Config->AltIndex == static_cast<int>(A))
-        InnerActive = &Config->Inner;
-      TS.InnerAlternatives.push_back(snapshotRegion(*Alts[A], InnerActive));
-    }
-    Snap.Tasks.push_back(std::move(TS));
-  }
-  return Snap;
-}
-
 RegionSnapshot Dope::snapshot() const {
-  RegionConfig Config = currentConfig();
-  return snapshotRegion(*Root, &Config.Tasks);
+  const RegionConfig Config = currentConfig();
+  return snapshotRegion(*Root, &Config.Tasks,
+                        [this](const Task &T, TaskSnapshot &TS) {
+                          const TaskMetrics *M = metricsForIfPresent(T);
+                          if (!M)
+                            return;
+                          TS.ExecTime = M->execTime();
+                          TS.Load = M->load();
+                          TS.LastLoad = M->lastLoad();
+                          TS.Invocations = M->invocations();
+                        });
 }
 
 //===----------------------------------------------------------------------===//
@@ -775,45 +750,23 @@ void Dope::runController() {
     Ctx.NowSeconds = Now;
     Ctx.Trace = Trace;
 
-    RegionConfig Current = currentConfig();
-    RegionSnapshot Snap = snapshot();
-    std::optional<RegionConfig> Next =
-        Options.Mech->reconfigure(*Root, Snap, Current, Ctx);
-    const bool Changed = Next && !(*Next == Current);
-    bool Accepted = Changed;
-    if (Changed) {
-      std::string Error;
-      if (!validateConfig(*Root, *Next, &Error)) {
-        DOPE_LOG_WARN("mechanism '%s' produced invalid config: %s",
-                      Options.Mech->name().c_str(), Error.c_str());
-        Accepted = false;
-      } else if (totalThreads(*Root, *Next) > threadEnvelope()) {
-        DOPE_LOG_WARN("mechanism '%s' exceeded thread envelope (%u > %u)",
-                      Options.Mech->name().c_str(), totalThreads(*Root, *Next),
-                      threadEnvelope());
-        Accepted = false;
-      }
-    }
-    if (Trace) {
-      // Every consult is recorded; B marks the ones that actually changed
-      // the running configuration (rejected proposals trace the config
-      // that keeps running).
-      const RegionConfig &Chosen = Accepted ? *Next : Current;
-      Trace->recordAt(Now, TraceKind::Decision, Options.Mech->name(),
-                      totalThreads(*Root, Chosen), Accepted ? 1.0 : 0.0,
-                      toString(*Root, Chosen));
-    }
-    if (!Accepted)
+    const RegionConfig Current = currentConfig();
+    ControlStepResult Step = controlStep(*Options.Mech, *Root, snapshot(),
+                                         Current, Ctx, threadEnvelope());
+    if (!Step.Refusal.empty())
+      DOPE_LOG_WARN("mechanism '%s' %s", Options.Mech->name().c_str(),
+                    Step.Refusal.c_str());
+    if (!Step.Accepted)
       continue;
+    const RegionConfig &Next = *Step.Accepted;
 
     {
       std::lock_guard<std::mutex> Lock(ConfigMutex);
-      PendingConfig = *Next;
+      PendingConfig = Next;
       HasPendingConfig = true;
     }
     SuspendFlag.store(true, std::memory_order_release);
     LastReconfigTime = Now;
-    DOPE_LOG_DEBUG("reconfiguring to %s",
-                   toString(*Root, *Next).c_str());
+    DOPE_LOG_DEBUG("reconfiguring to %s", toString(*Root, Next).c_str());
   }
 }

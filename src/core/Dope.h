@@ -390,11 +390,6 @@ private:
   TaskMetrics &metricsFor(const Task &T);
   const TaskMetrics *metricsForIfPresent(const Task &T) const;
 
-  /// Fills a RegionSnapshot subtree for \p Region with the extents of
-  /// \p Active (may be null when the region is not currently configured).
-  RegionSnapshot snapshotRegion(const ParDescriptor &Region,
-                                const std::vector<TaskConfig> *Active) const;
-
   bool suspendRequested() const {
     return SuspendFlag.load(std::memory_order_acquire);
   }

@@ -21,10 +21,10 @@
 /// current configuration (or std::nullopt) means "no change"; the
 /// executive only triggers the suspend/quiesce protocol on a change.
 ///
-/// Both the native executive (core/Dope.h) and the discrete-event platform
-/// simulator (sim/) drive mechanisms through this one interface, so the
-/// same mechanism code is exercised in unit tests, native runs, and the
-/// paper-scale simulated experiments.
+/// Every host (core/Dope.h, core/Replay.h, sim/) consults mechanisms
+/// through the one control step in core/ControlStep.h, so the same
+/// mechanism code runs, and its proposals are checked, the same way in
+/// unit tests, native runs, replay and the simulated experiments.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,6 +7,8 @@
 
 #include "core/Replay.h"
 
+#include "core/ControlStep.h"
+
 #include "support/Json.h"
 #include "support/Trace.h"
 
@@ -379,31 +381,18 @@ ReplayMechanismHarness::ReplayMechanismHarness(FeatureStream TheStream)
 
 ReplayMechanismHarness::~ReplayMechanismHarness() = default;
 
-namespace {
-
-/// Per-step measurements looked up by task id while building snapshots.
-struct StepMetrics {
-  double ExecTime = 0.0;
-  double Load = 0.0;
-};
-
-} // namespace
-
 RegionSnapshot
 ReplayMechanismHarness::buildSnapshot(const ReplayStep &Step,
                                       const RegionConfig &Current,
                                       uint64_t Invocations) const {
-  // Index the step's measurements by task.
-  std::map<unsigned, StepMetrics> ById;
+  // The step's (execution time, load) of every measured task, by task id.
+  std::map<unsigned, std::pair<double, double>> ById;
   auto Fill = [&](const std::vector<Task *> &Tasks,
                   const std::vector<double> &Exec,
                   const std::vector<double> &Load) {
-    for (size_t I = 0; I != Tasks.size(); ++I) {
-      StepMetrics M;
-      M.ExecTime = I < Exec.size() ? Exec[I] : 0.0;
-      M.Load = I < Load.size() ? Load[I] : 0.0;
-      ById[Tasks[I]->id()] = M;
-    }
+    for (size_t I = 0; I != Tasks.size(); ++I)
+      ById[Tasks[I]->id()] = {I < Exec.size() ? Exec[I] : 0.0,
+                              I < Load.size() ? Load[I] : 0.0};
   };
   if (Stream.Kind == FeatureStream::GraphKind::TaskTree) {
     Fill({TreeTask}, Step.ExecTime, Step.Load);
@@ -414,49 +403,18 @@ ReplayMechanismHarness::buildSnapshot(const ReplayStep &Step,
     Fill(FusedTasks, Step.FusedExecTime, Step.FusedLoad);
   }
 
-  // Mirror Dope::snapshotRegion: structure for every alternative, extents
-  // only where the configuration is active, metrics wherever measured.
-  std::function<RegionSnapshot(const ParDescriptor &,
-                               const std::vector<TaskConfig> *)>
-      Build = [&](const ParDescriptor &Region,
-                  const std::vector<TaskConfig> *Active) {
-        RegionSnapshot Snap;
-        for (size_t I = 0; I != Region.size(); ++I) {
-          const Task *T = Region.tasks()[I];
-          const TaskConfig *Config =
-              Active && I < Active->size() ? &(*Active)[I] : nullptr;
-
-          TaskSnapshot TS;
-          TS.TaskId = T->id();
-          TS.Name = T->name();
-          TS.Kind = T->kind();
-          if (auto It = ById.find(T->id()); It != ById.end()) {
-            TS.ExecTime = It->second.ExecTime;
-            TS.Load = It->second.Load;
-            TS.LastLoad = It->second.Load;
-            // A stage with no execution-time measurement has not run;
-            // zero invocations gates mechanisms that require a fully
-            // measured region (PipelineView::fullyMeasured).
-            TS.Invocations = TS.ExecTime > 0.0 ? Invocations : 0;
-          }
-          TS.CurrentExtent = Config ? Config->Extent : 0;
-          TS.ActiveAlt = Config ? Config->AltIndex : -1;
-          if (TS.ExecTime > 0.0)
-            TS.Throughput =
-                static_cast<double>(TS.CurrentExtent) / TS.ExecTime;
-
-          const auto &Alts = T->descriptor()->alternatives();
-          for (size_t A = 0; A != Alts.size(); ++A) {
-            const std::vector<TaskConfig> *InnerActive = nullptr;
-            if (Config && Config->AltIndex == static_cast<int>(A))
-              InnerActive = &Config->Inner;
-            TS.InnerAlternatives.push_back(Build(*Alts[A], InnerActive));
-          }
-          Snap.Tasks.push_back(std::move(TS));
-        }
-        return Snap;
-      };
-  return Build(*Root, &Current.Tasks);
+  return snapshotRegion(*Root, &Current.Tasks,
+                        [&](const Task &T, TaskSnapshot &TS) {
+    auto It = ById.find(T.id());
+    if (It == ById.end())
+      return;
+    TS.ExecTime = It->second.first;
+    TS.Load = TS.LastLoad = It->second.second;
+    // A stage with no execution-time measurement has not run; zero
+    // invocations gates mechanisms that require a fully measured region
+    // (PipelineView::fullyMeasured).
+    TS.Invocations = TS.ExecTime > 0.0 ? Invocations : 0;
+  });
 }
 
 ReplayResult ReplayMechanismHarness::run(Mechanism &M, Tracer *Trace) {
@@ -508,28 +466,25 @@ ReplayResult ReplayMechanismHarness::run(Mechanism &M, Tracer *Trace) {
     Ctx.NowSeconds = Step.Time;
     Ctx.Trace = Trace;
 
-    std::optional<RegionConfig> Next = M.reconfigure(*Root, Snap, Current, Ctx);
-    bool Changed = Next && !(*Next == Current);
-    if (Changed && !validateConfig(*Root, *Next)) {
-      ++Result.InvalidProposals;
-      Changed = false;
-    }
-    if (Trace) {
-      const RegionConfig &Chosen = Changed ? *Next : Current;
-      Trace->recordAt(Step.Time, TraceKind::Decision, M.name(),
-                      totalThreads(*Root, Chosen), Changed ? 1.0 : 0.0,
-                      toString(*Root, Chosen));
-    }
-    if (!Changed)
+    ControlStepResult Outcome =
+        controlStep(M, *Root, Snap, Current, Ctx, Envelope);
+    Result.InvalidProposals += Outcome.Invalid;
+    Result.OverEnvelopeProposals +=
+        !Outcome.Invalid && !Outcome.Refusal.empty();
+    if (!Outcome.Accepted)
       continue;
 
-    Current = *Next;
+    Current = std::move(*Outcome.Accepted);
     ReplayDecision D;
     D.Step = I;
     D.Time = Step.Time;
     D.Config = toString(*Root, Current);
     D.TotalThreads = totalThreads(*Root, Current);
-    D.Budget = Ctx.effectiveThreads();
+    // The budget the mechanism planned against, read without tracing: the
+    // mechanism, not the harness, owns the FeatureRead records.
+    MechanismContext Untraced = Ctx;
+    Untraced.Trace = nullptr;
+    D.Budget = Untraced.effectiveThreads();
     D.Extents = flattenExtents(Current);
     Result.Decisions.push_back(std::move(D));
   }

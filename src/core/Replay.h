@@ -14,9 +14,8 @@
 /// nest), the constraint envelope (thread budget, power budget), and a
 /// time-ordered sequence of steps carrying platform features and per-stage
 /// measurements. The ReplayMechanismHarness re-feeds the stream to any
-/// Mechanism step by step, mimicking the executive's accept loop (a
-/// decision is recorded only when the mechanism proposes a *valid change*
-/// to the running configuration), and returns the full decision sequence.
+/// Mechanism step by step through the executive's control step
+/// (core/ControlStep.h) and returns the full decision sequence.
 ///
 /// Uses:
 ///   * golden-trace conformance tests — a committed stream replayed
@@ -26,9 +25,9 @@
 ///     invariants on whatever decisions come out;
 ///   * differential tests — two mechanisms on one stream, compared.
 ///
-/// Unlike the executive, the harness does NOT clamp proposals to the
-/// thread budget: budget discipline is a property of the mechanisms
-/// themselves and replay is where it is checked.
+/// Like the executive, the harness refuses (never clamps) a proposal above
+/// the thread envelope, and counts it: budget discipline is a property of
+/// the mechanisms themselves and replay is where it is checked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -181,6 +180,8 @@ struct ReplayResult {
   /// Proposals the harness rejected as structurally invalid
   /// (validateConfig failures — a mechanism bug worth asserting on).
   unsigned InvalidProposals = 0;
+  /// Valid proposals refused for exceeding the step's thread envelope.
+  unsigned OverEnvelopeProposals = 0;
 };
 
 /// Replays a FeatureStream through a Mechanism.

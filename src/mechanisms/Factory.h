@@ -25,8 +25,8 @@
 namespace dope {
 
 /// Creates the canonical instance of the mechanism named \p Name
-/// ("WQT-H", "WQ-Linear", "TBF", "TB", "FDP", "SEDA", "TPC"); null for
-/// unknown names. Parameters are the defaults used throughout the
+/// ("WQT-H", "WQ-Linear", "TBF", "TB", "FDP", "SEDA", "TPC",
+/// "GrainAdapt"); null for unknown names. Parameters are the defaults used throughout the
 /// benchmarks, pinned here so golden traces stay stable.
 std::unique_ptr<Mechanism> createMechanismByName(const std::string &Name);
 
@@ -55,8 +55,9 @@ struct ConformanceCase {
   }
 };
 
-/// All pairings covered by the golden suite — the paper's seven
-/// mechanisms, each on a stream that exercises its decision logic.
+/// All pairings covered by the golden suite — every mechanism
+/// createMechanismByName builds, each on a stream that exercises its
+/// decision logic.
 const std::vector<ConformanceCase> &conformanceCases();
 
 } // namespace dope

@@ -7,6 +7,8 @@
 
 #include "sim/NestServerSim.h"
 
+#include "core/ControlStep.h"
+
 #include "mechanisms/ServerNest.h"
 
 #include "support/RingDeque.h"
@@ -187,56 +189,30 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
                      LastQueueSample, static_cast<double>(ActiveJobs));
 
     if (Mech) {
-      RegionSnapshot Snap;
-      TaskSnapshot Outer;
-      Outer.TaskId = OuterTask->id();
-      Outer.Name = OuterTask->name();
-      Outer.Kind = TaskKind::Parallel;
-      Outer.ExecTime = ExecTimeEma.value();
-      Outer.Load = LoadEma.value();
-      Outer.LastLoad = LastQueueSample;
-      Outer.Invocations = Completed;
-      Outer.CurrentExtent = OuterK;
-      Outer.ActiveAlt = InnerM > 1 ? 0 : -1;
-      if (Outer.ExecTime > 0.0)
-        Outer.Throughput = OuterK / Outer.ExecTime;
-
-      RegionSnapshot InnerSnap;
-      TaskSnapshot InnerTs;
-      InnerTs.TaskId = InnerTask->id();
-      InnerTs.Name = InnerTask->name();
-      InnerTs.Kind = TaskKind::Parallel;
-      InnerTs.ExecTime =
-          InnerM > 0 ? ExecTimeEma.value() / static_cast<double>(InnerM)
-                     : 0.0;
-      InnerTs.Invocations = Completed;
-      InnerTs.CurrentExtent = InnerM;
-      InnerSnap.Tasks.push_back(std::move(InnerTs));
-      Outer.InnerAlternatives.push_back(std::move(InnerSnap));
-      Snap.Tasks.push_back(std::move(Outer));
+      const RegionSnapshot Snap = snapshotRegion(
+          *Root, &Config.Tasks, [&](const Task &T, TaskSnapshot &TS) {
+            TS.Invocations = Completed;
+            if (&T != OuterTask) {
+              TS.ExecTime = ExecTimeEma.value() / static_cast<double>(InnerM);
+              return;
+            }
+            TS.ExecTime = ExecTimeEma.value();
+            TS.Load = LoadEma.value();
+            TS.LastLoad = LastQueueSample;
+          });
 
       MechanismContext Ctx;
       Ctx.MaxThreads = Opts.Contexts;
       Ctx.NowSeconds = Now;
       Ctx.Trace = Sink;
 
-      std::optional<RegionConfig> Next =
-          Mech->reconfigure(*Root, Snap, Config, Ctx);
-      bool Changed = Next && !(*Next == Config);
-      // A malformed proposal is a mechanism bug: count it and keep
-      // running the current config.
-      if (Changed && !validateConfig(*Root, *Next)) {
-        ++Result.InvalidProposals;
-        Changed = false;
-      }
-      if (Sink) {
-        const RegionConfig &Chosen = Changed ? *Next : Config;
-        Sink->recordAt(Now, TraceKind::Decision, Mech->name(),
-                       totalThreads(*Root, Chosen), Changed ? 1.0 : 0.0,
-                       toString(*Root, Chosen));
-      }
-      if (Changed) {
-        Config = *Next;
+      // No ceiling: the simulated platform time-shares oversubscribed
+      // contexts and holds no lease (see NoThreadCeiling).
+      ControlStepResult Step =
+          controlStep(*Mech, *Root, Snap, Config, Ctx, NoThreadCeiling);
+      Result.InvalidProposals += Step.Invalid;
+      if (Step.Accepted) {
+        Config = std::move(*Step.Accepted);
         OuterK = serverOuterExtent(Config);
         InnerM = serverInnerExtent(Config);
         ++Result.Reconfigurations;

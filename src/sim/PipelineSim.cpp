@@ -7,6 +7,8 @@
 
 #include "sim/PipelineSim.h"
 
+#include "core/ControlStep.h"
+
 #include "support/Logging.h"
 #include "support/RingDeque.h"
 
@@ -425,43 +427,24 @@ private:
                         stageHandoffCost(Opts.Topo, P, S - 1, Routing);
   }
 
-  /// Builds the snapshot handed to the mechanism.
-  RegionSnapshot buildSnapshot() const {
-    RegionSnapshot Snap;
-    TaskSnapshot DriverTs;
-    DriverTs.TaskId = Driver.id();
-    DriverTs.Name = Driver.name();
-    DriverTs.Kind = TaskKind::Sequential;
-    DriverTs.CurrentExtent = 1;
-    DriverTs.ActiveAlt = ActiveAlt;
-    DriverTs.Invocations = ItemsDone;
-
-    const size_t AltCount = Driver.descriptor()->alternativeCount();
-    for (size_t A = 0; A != AltCount; ++A) {
-      RegionSnapshot AltSnap;
-      const ParDescriptor *AltRegion = Driver.descriptor()->alternative(A);
-      for (size_t S = 0; S != AltRegion->size(); ++S) {
-        TaskSnapshot TS;
-        const Task *T = AltRegion->tasks()[S];
-        TS.TaskId = T->id();
-        TS.Name = T->name();
-        TS.Kind = T->kind();
-        if (static_cast<int>(A) == ActiveAlt && S < Metrics.size()) {
-          const StageMetrics &M = Metrics[S];
-          TS.ExecTime = M.ExecTime.value();
-          TS.Load = M.Load.value();
-          TS.LastLoad = M.LastLoad;
-          TS.Invocations = M.Invocations;
-          TS.CurrentExtent = Extents[S];
-          if (TS.ExecTime > 0.0)
-            TS.Throughput = TS.CurrentExtent / TS.ExecTime;
-        }
-        AltSnap.Tasks.push_back(std::move(TS));
-      }
-      DriverTs.InnerAlternatives.push_back(std::move(AltSnap));
-    }
-    Snap.Tasks.push_back(std::move(DriverTs));
-    return Snap;
+  /// Builds the snapshot of the running \p Config handed to the
+  /// mechanism: stage metrics on the active alternative only.
+  RegionSnapshot buildSnapshot(const RegionConfig &Config) const {
+    const std::vector<Task *> &Active =
+        Driver.descriptor()->alternative(ActiveAlt)->tasks();
+    return snapshotRegion(Root, &Config.Tasks,
+                          [&](const Task &T, TaskSnapshot &TS) {
+      if (&T == &Driver)
+        TS.Invocations = ItemsDone;
+      const size_t S =
+          std::find(Active.begin(), Active.end(), &T) - Active.begin();
+      if (S >= Metrics.size())
+        return;
+      TS.ExecTime = Metrics[S].ExecTime.value();
+      TS.Load = Metrics[S].Load.value();
+      TS.LastLoad = Metrics[S].LastLoad;
+      TS.Invocations = Metrics[S].Invocations;
+    });
   }
 
   RegionConfig currentConfig() const {
@@ -547,24 +530,14 @@ private:
       Ctx.Features = &Features;
       Ctx.NowSeconds = Events.now();
       Ctx.Trace = Trace;
-      RegionConfig Config = currentConfig();
-      std::optional<RegionConfig> Next =
-          Mech->reconfigure(Root, buildSnapshot(), Config, Ctx);
-      bool Changed = Next && !(*Next == Config);
-      // A malformed proposal (wrong arity, bad extent or alternative) is
-      // a mechanism bug: count it and keep running the current config.
-      if (Changed && !validateConfig(Root, *Next)) {
-        ++InvalidProposals;
-        Changed = false;
-      }
-      if (Trace) {
-        const RegionConfig &Chosen = Changed ? *Next : Config;
-        Trace->recordAt(Events.now(), TraceKind::Decision, Mech->name(),
-                        totalThreads(Root, Chosen), Changed ? 1.0 : 0.0,
-                        toString(Root, Chosen));
-      }
-      if (Changed)
-        applyConfig(*Next);
+      // No ceiling: the simulated platform time-shares oversubscribed
+      // contexts and holds no lease (see NoThreadCeiling).
+      const RegionConfig Config = currentConfig();
+      ControlStepResult Step = controlStep(*Mech, Root, buildSnapshot(Config),
+                                           Config, Ctx, NoThreadCeiling);
+      InvalidProposals += Step.Invalid;
+      if (Step.Accepted)
+        applyConfig(*Step.Accepted);
     }
     Events.scheduleAfter(Opts.DecisionIntervalSeconds,
                          [this] { decisionTick(); });

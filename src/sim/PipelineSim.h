@@ -211,7 +211,6 @@ public:
   /// Installs the fault plan applied during subsequent run() calls (the
   /// injector itself is re-seeded per run from the options seed).
   void setFaultPlan(FaultPlan Plan) { Faults = std::move(Plan); }
-  const FaultPlan &faultPlan() const { return Faults; }
 
   /// Analytic throughput bound of a configuration: the lesser of the
   /// bottleneck stage capacity min_i(n_i / s_i) and the CPU pool bound
@@ -221,9 +220,6 @@ public:
 
   const PipelineAppModel &app() const { return App; }
   const ParDescriptor *rootRegion() const { return Root; }
-
-  /// Stage count of the unfused pipeline.
-  size_t stageCount() const { return App.Stages.size(); }
 
 private:
   void buildGraph();

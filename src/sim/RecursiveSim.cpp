@@ -8,6 +8,7 @@
 #include "sim/RecursiveSim.h"
 
 #include "core/Config.h"
+#include "core/ControlStep.h"
 #include "core/FeatureRegistry.h"
 #include "support/Random.h"
 
@@ -107,17 +108,13 @@ RecursiveSimResult RecursiveSim::run(Mechanism *Mech, unsigned InitialGrain,
 
     // Snapshot + features, exactly as the native TreeEngine exports
     // them, then one consult at the epoch boundary.
-    RegionSnapshot Snap;
-    TaskSnapshot TS;
-    TS.TaskId = TreeTask->id();
-    TS.Name = TreeTask->name();
-    TS.Kind = TreeTask->kind();
-    TS.ExecTime = E.PerTaskSeconds;
-    TS.Load = E.MeanOutstanding;
-    TS.LastLoad = E.MeanOutstanding;
-    TS.Invocations = E.Tasks;
-    TS.CurrentExtent = Extent;
-    Snap.Tasks.push_back(std::move(TS));
+    const RegionSnapshot Snap = snapshotRegion(
+        *Root, &Current.Tasks, [&E](const Task &, TaskSnapshot &TS) {
+          TS.ExecTime = E.PerTaskSeconds;
+          TS.Load = E.MeanOutstanding;
+          TS.LastLoad = E.MeanOutstanding;
+          TS.Invocations = E.Tasks;
+        });
 
     FeatureRegistry Features;
     const double StealRate = E.StealRate;
@@ -131,15 +128,14 @@ RecursiveSimResult RecursiveSim::run(Mechanism *Mech, unsigned InitialGrain,
     Ctx.Features = &Features;
     Ctx.NowSeconds = Clock;
 
-    std::optional<RegionConfig> Next =
-        Mech->reconfigure(*Root, Snap, Current, Ctx);
-    if (!Next || *Next == Current)
+    // No ceiling: the simulated platform time-shares oversubscribed
+    // contexts and holds no lease (see NoThreadCeiling).
+    ControlStepResult Step =
+        controlStep(*Mech, *Root, Snap, Current, Ctx, NoThreadCeiling);
+    Result.InvalidProposals += Step.Invalid;
+    if (!Step.Accepted)
       continue;
-    if (!validateConfig(*Root, *Next)) {
-      ++Result.InvalidProposals;
-      continue;
-    }
-    Current = *Next;
+    Current = std::move(*Step.Accepted);
     ++Result.Reconfigurations;
     Clock += Opts.ReconfigPauseSeconds;
     Result.DecisionLog.push_back(std::to_string(Epoch) + ": " +

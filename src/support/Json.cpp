@@ -196,6 +196,36 @@ struct Parser {
 
   bool parseValue(JsonValue &Out);
 
+  /// Reads the four hex digits of a \u escape.
+  bool parseHex4(unsigned &Code) {
+    if (Pos + 4 > Text.size())
+      return fail("truncated \\u escape");
+    const char *Begin = Text.data() + Pos;
+    const auto [End, Ec] = std::from_chars(Begin, Begin + 4, Code, 16);
+    if (Ec != std::errc() || End != Begin + 4)
+      return fail("bad \\u escape");
+    Pos += 4;
+    return true;
+  }
+
+  static void appendUtf8(std::string &Out, unsigned Code) {
+    if (Code < 0x80) {
+      Out += static_cast<char>(Code);
+    } else if (Code < 0x800) {
+      Out += static_cast<char>(0xC0 | (Code >> 6));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else if (Code < 0x10000) {
+      Out += static_cast<char>(0xE0 | (Code >> 12));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else {
+      Out += static_cast<char>(0xF0 | (Code >> 18));
+      Out += static_cast<char>(0x80 | ((Code >> 12) & 0x3F));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    }
+  }
+
   bool parseString(std::string &Out) {
     if (Pos >= Text.size() || Text[Pos] != '"')
       return fail("expected string");
@@ -237,22 +267,25 @@ struct Parser {
         Out += '\f';
         break;
       case 'u': {
-        if (Pos + 4 > Text.size())
-          return fail("truncated \\u escape");
-        const std::string Hex(Text.substr(Pos, 4));
-        Pos += 4;
-        const long Code = std::strtol(Hex.c_str(), nullptr, 16);
-        // Basic-plane code points only; enough for our own files.
-        if (Code < 0x80) {
-          Out += static_cast<char>(Code);
-        } else if (Code < 0x800) {
-          Out += static_cast<char>(0xC0 | (Code >> 6));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        } else {
-          Out += static_cast<char>(0xE0 | (Code >> 12));
-          Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
+        unsigned Code;
+        if (!parseHex4(Code))
+          return false;
+        if (Code >= 0xDC00 && Code <= 0xDFFF)
+          return fail("lone low surrogate");
+        if (Code >= 0xD800 && Code <= 0xDBFF) {
+          // A high surrogate must be followed by its low half; the pair
+          // encodes one supplementary-plane code point.
+          unsigned Low;
+          if (Text.substr(Pos, 2) != "\\u")
+            return fail("lone high surrogate");
+          Pos += 2;
+          if (!parseHex4(Low))
+            return false;
+          if (Low < 0xDC00 || Low > 0xDFFF)
+            return fail("lone high surrogate");
+          Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
         }
+        appendUtf8(Out, Code);
         break;
       }
       default:

@@ -12,7 +12,8 @@
 /// (tests/golden/<mechanism>.decisions.jsonl) exactly. A mismatch fails
 /// with a report naming the first divergent decision.
 ///
-/// These tests freeze the *decision behaviour* of the seven mechanisms:
+/// These tests freeze the *decision behaviour* of the canonical
+/// mechanisms (mechanisms/Factory.h):
 /// an intentional change regenerates the goldens via the `trace-regen`
 /// target (`dope_trace regen --dir tests/golden`) and the decision diff
 /// is reviewed like any other code change; an accidental change is caught
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -83,10 +85,13 @@ TEST_P(MechanismConformance, ReplayMatchesGolden) {
   EXPECT_EQ(Result.InvalidProposals, 0u)
       << Case.MechanismName << " proposed structurally invalid configs";
 
-  // Budget discipline: no accepted decision may exceed the thread
-  // envelope in force when it was made (the harness does not clamp —
-  // this is the mechanisms' own responsibility, and what makes lease
+  // Budget discipline: no proposal may exceed the thread envelope in
+  // force when it was made, and no accepted one the live contexts the
+  // mechanism was told of (the harness refuses rather than clamps — the
+  // budget is the mechanisms' own responsibility, and what makes lease
   // revocation safe to apply through them).
+  EXPECT_EQ(Result.OverEnvelopeProposals, 0u)
+      << Case.MechanismName << " proposed configs above its envelope";
   for (const ReplayDecision &D : Result.Decisions)
     EXPECT_LE(D.TotalThreads, D.Budget)
         << Case.MechanismName << " overran its envelope at step " << D.Step;
@@ -140,17 +145,42 @@ TEST_P(MechanismConformance, TracedReplayRecordsEveryConsult) {
   const ReplayResult Result = Harness.run(*Mech, &Trace);
 
   size_t DecisionRecords = 0, AcceptedRecords = 0;
+  // Time of the last accepted Decision. A step's reads all precede its
+  // Decision, and the next step's carry a later time, so a FeatureRead
+  // stamped with an accepted Decision's time after it is not the
+  // mechanism's.
+  std::optional<double> AcceptedAt;
   for (const TraceRecord &R : Trace.drain()) {
+    if (R.Kind == TraceKind::FeatureRead) {
+      EXPECT_FALSE(AcceptedAt && R.Time == *AcceptedAt)
+          << "harness read '" << R.Name << "' after the decision at t="
+          << R.Time;
+      continue;
+    }
     if (R.Kind != TraceKind::Decision)
       continue;
     ++DecisionRecords;
     AcceptedRecords += R.B == 1.0;
+    if (R.B == 1.0)
+      AcceptedAt = R.Time;
     EXPECT_EQ(R.Name, Mech->name());
   }
   // One Decision record per stream step (every consult), of which exactly
   // the accepted changes carry B = 1.
   EXPECT_EQ(DecisionRecords, Steps);
   EXPECT_EQ(AcceptedRecords, Result.Decisions.size());
+}
+
+TEST(MechanismConformanceTrace, CanonicalSedaReadsNoFeatures) {
+  // SEDA sizes stages from queue depths and its per-stage cap alone, so
+  // a traced replay holds no FeatureRead at all: none is the harness's.
+  Tracer Trace(1 << 14);
+  std::unique_ptr<Mechanism> Seda = createMechanismByName("SEDA");
+  ReplayMechanismHarness Harness(loadStream("pipeline-bursts"));
+  const ReplayResult Result = Harness.run(*Seda, &Trace);
+  ASSERT_FALSE(Result.Decisions.empty());
+  for (const TraceRecord &R : Trace.drain())
+    EXPECT_NE(R.Kind, TraceKind::FeatureRead) << R.Name << " at t=" << R.Time;
 }
 
 // gtest appends the printed parameter to each discovered ctest name. Its

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace dope;
 
 namespace {
@@ -201,6 +203,22 @@ TEST(PipelineSim, SedaRunsAndAdapts) {
   PipelineSimResult R = Sim.run(&Seda, {});
   EXPECT_EQ(R.ItemsCompleted, 1000u);
   EXPECT_GE(R.Reconfigurations, 1u);
+}
+
+TEST(PipelineSim, SedaOversubscribesTheSimulatedPlatform) {
+  // The simulators pass no thread ceiling to the control step: SEDA's
+  // stages grow past the 24 contexts, which Table 15's SEDA row relies
+  // on (refusing those configs drops ferret from 2.13x to 0.79x).
+  PipelineSimOptions Opts = quickOptions(800);
+  Opts.DecisionIntervalSeconds = 0.5;
+  PipelineSim Sim(makeFerretApp(), Opts);
+  SedaMechanism Seda;
+  const PipelineSimResult R = Sim.run(&Seda, {1, 6, 6, 5, 5, 1});
+  EXPECT_EQ(R.ItemsCompleted, 800u);
+  double PeakThreads = 0.0;
+  for (const TimeSeries::Point &P : R.ThreadsSeries.points())
+    PeakThreads = std::max(PeakThreads, P.Value);
+  EXPECT_GT(PeakThreads, 24.0);
 }
 
 TEST(PipelineSim, PowerSeriesSampled) {

@@ -21,6 +21,7 @@
 #include "core/Task.h"
 #include "support/Random.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -207,6 +208,66 @@ public:
     return Bad;
   }
 
+  unsigned Consults = 0;
+};
+
+/// What an OverreachingMechanism proposed. Atomic so a test can poll it
+/// while the native executive's controller thread consults.
+struct OverreachCounts {
+  std::atomic<unsigned> WrongArity{0};
+  /// Well-formed proposals above Ctx.MaxThreads that differed from the
+  /// running config (once a host accepts one, the next equals it).
+  std::atomic<unsigned> OverCeiling{0};
+};
+
+/// A buggy mechanism that alternates two proposals every host sees the
+/// same way: one with an extra top-level task (wrong arity, refused by
+/// all hosts as invalid), and a well-formed one whose first parallel task
+/// runs Ctx.MaxThreads + 1 replicas (refused by hosts that hold a thread
+/// envelope, accepted by the simulators).
+class OverreachingMechanism : public Mechanism {
+public:
+  explicit OverreachingMechanism(OverreachCounts &Counts) : Counts(Counts) {}
+
+  std::string name() const override { return "Overreaching"; }
+
+  std::optional<RegionConfig>
+  reconfigure(const ParDescriptor &Region, const RegionSnapshot &,
+              const RegionConfig &Current,
+              const MechanismContext &Ctx) override {
+    RegionConfig Next = Current;
+    if (Consults++ % 2 == 0) {
+      Next.Tasks.push_back(Current.Tasks.front());
+      ++Counts.WrongArity;
+      return Next;
+    }
+    widenFirstParallel(Region, Next.Tasks, Ctx.MaxThreads + 1);
+    if (!(Next == Current))
+      ++Counts.OverCeiling;
+    return Next;
+  }
+
+private:
+  /// Sets the first parallel task's extent (depth first, through active
+  /// inner alternatives) to \p Extent.
+  static bool widenFirstParallel(const ParDescriptor &Region,
+                                 std::vector<TaskConfig> &Tasks,
+                                 unsigned Extent) {
+    for (size_t I = 0; I != Tasks.size(); ++I) {
+      const Task &T = *Region.tasks()[I];
+      if (T.kind() == TaskKind::Parallel) {
+        Tasks[I].Extent = Extent;
+        return true;
+      }
+      if (Tasks[I].AltIndex >= 0 &&
+          widenFirstParallel(*T.descriptor()->alternative(Tasks[I].AltIndex),
+                             Tasks[I].Inner, Extent))
+        return true;
+    }
+    return false;
+  }
+
+  OverreachCounts &Counts;
   unsigned Consults = 0;
 };
 

@@ -102,6 +102,40 @@ TEST(JsonValue, ParseErrorsCarryOffsets) {
   EXPECT_FALSE(JsonValue::parse("\"unterminated", &Error).has_value());
 }
 
+TEST(JsonValue, UnicodeEscapesTakeOnlyHexDigits) {
+  std::string Error;
+  for (const char *Bad : {"\"\\u00zz\"", "\"\\uzzzz\"", "\"\\u+041\"",
+                          "\"\\u-041\"", "\"\\u 041\""}) {
+    EXPECT_FALSE(JsonValue::parse(Bad, &Error).has_value()) << Bad;
+    EXPECT_NE(Error.find("bad \\u escape"), std::string::npos) << Error;
+  }
+  std::optional<JsonValue> V = JsonValue::parse("\"\\u0041\\u00e9\\u20AC\"");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->asString(), "A\xC3\xA9\xE2\x82\xAC");
+}
+
+TEST(JsonValue, SurrogatePairDecodesToOneFourByteSequence) {
+  // U+1F600, not the 6-byte CESU-8 of its two halves.
+  std::optional<JsonValue> V = JsonValue::parse("\"\\ud83d\\ude00\"");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->asString(), "\xF0\x9F\x98\x80");
+  V = JsonValue::parse("\"\\uDBFF\\uDFFF\"");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->asString(), "\xF4\x8F\xBF\xBF");
+}
+
+TEST(JsonValue, LoneSurrogatesAreRejected) {
+  std::string Error;
+  for (const char *Bad : {"\"\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\n\"",
+                          "\"\\ud83d\\u0041\"", "\"\\ud83d\\ud83d\"",
+                          "\"\\ude00\"", "\"\\ude00\\ud83d\""}) {
+    EXPECT_FALSE(JsonValue::parse(Bad, &Error).has_value()) << Bad;
+    EXPECT_NE(Error.find("surrogate"), std::string::npos) << Error;
+  }
+  // A high half cut off before its low half's digits.
+  EXPECT_FALSE(JsonValue::parse("\"\\ud83d\\ude", &Error).has_value());
+}
+
 TEST(JsonValue, NumbersEndAtTheEndOfTheView) {
   // The view holds "12" of "12345": the number must not run on into
   // bytes past its end.

@@ -27,8 +27,8 @@
 ///
 ///   dope_trace regen --dir <dir>
 ///       Regenerates the golden conformance suite: the committed feature
-///       streams, the expected decision sequences of all seven
-///       mechanisms (including the lease-step cases replaying arbiter
+///       streams, the expected decision sequences of every canonical
+///       mechanism (including the lease-step cases replaying arbiter
 ///       revocations through a mechanism), the lease grant/revoke
 ///       trace of the canonical arbiter colocation scenario, and the
 ///       colocation simulator's scenario goldens (tests/ColocationGolden.h).
@@ -556,6 +556,11 @@ int cmdReplay(const std::vector<std::string> &Args) {
     std::fprintf(stderr,
                  "dope_trace: warning: %u structurally invalid proposals\n",
                  Result.InvalidProposals);
+  if (Result.OverEnvelopeProposals)
+    std::fprintf(stderr,
+                 "dope_trace: warning: %u proposals above the thread "
+                 "envelope\n",
+                 Result.OverEnvelopeProposals);
 
   if (OutPath.empty()) {
     std::ostringstream OS;
@@ -624,12 +629,12 @@ int cmdRegen(const std::vector<std::string> &Args) {
     }
     ReplayMechanismHarness Harness(std::move(*Stream));
     const ReplayResult Result = Harness.run(*Mech);
-    if (Result.InvalidProposals) {
+    if (Result.InvalidProposals || Result.OverEnvelopeProposals) {
       std::fprintf(stderr,
-                   "dope_trace: %s proposed %u invalid configs on %s — "
-                   "refusing to bless them as golden\n",
+                   "dope_trace: %s proposed %u invalid and %u over-envelope "
+                   "configs on %s — refusing to bless them as golden\n",
                    Case.MechanismName, Result.InvalidProposals,
-                   Case.StreamName);
+                   Result.OverEnvelopeProposals, Case.StreamName);
       return 1;
     }
     const std::string Path =
