@@ -87,8 +87,9 @@ std::string toString(const ParDescriptor &Region, const RegionConfig &Config);
 
 /// Snapshot of \p Region with the extents of \p Active (null where the
 /// region is not configured): structure for every alternative, and the
-/// metrics that \p Measure(Task, TaskSnapshot) fills per task before
-/// Throughput is derived from them.
+/// metrics that \p Measure(Task, Index, TaskSnapshot) fills per task,
+/// Index being the task's position in its region, before Throughput is
+/// derived from them.
 template <typename MeasureT>
 RegionSnapshot snapshotRegion(const ParDescriptor &Region,
                               const std::vector<TaskConfig> *Active,
@@ -103,7 +104,7 @@ RegionSnapshot snapshotRegion(const ParDescriptor &Region,
     TS.TaskId = T->id();
     TS.Name = T->name();
     TS.Kind = T->kind();
-    Measure(*T, TS);
+    Measure(*T, I, TS);
     TS.CurrentExtent = Config ? Config->Extent : 0;
     TS.ActiveAlt = Config ? Config->AltIndex : -1;
     if (TS.ExecTime > 0.0)

@@ -15,25 +15,22 @@ ControlStepResult dope::controlStep(Mechanism &M, const ParDescriptor &Region,
                                     const MechanismContext &Ctx,
                                     unsigned Ceiling) {
   ControlStepResult Result;
-  std::optional<RegionConfig> Next = M.reconfigure(Region, Snap, Current, Ctx);
-  if (Next && !(*Next == Current)) {
-    std::string Error;
-    if (!validateConfig(Region, *Next, &Error)) {
-      Result.Invalid = true;
-      Result.Refusal = "produced invalid config: " + Error;
-    } else if (const unsigned Threads = totalThreads(Region, *Next);
-               Threads > Ceiling) {
-      Result.Refusal = "exceeded thread envelope (" + std::to_string(Threads) +
-                       " > " + std::to_string(Ceiling) + ")";
-    } else {
-      Result.Accepted = std::move(Next);
-    }
-  }
+  Result.Proposal = M.reconfigure(Region, Snap, Current, Ctx);
+  if (!Result.Proposal || *Result.Proposal == Current)
+    Result.Proposal.reset();
+  else if (!validateConfig(Region, *Result.Proposal, &Result.Error))
+    Result.Outcome = StepOutcome::Invalid;
+  else if (totalThreads(Region, *Result.Proposal) > Ceiling)
+    Result.Outcome = StepOutcome::OverCeiling;
+  else
+    Result.Outcome = StepOutcome::Accepted;
+
   if (Ctx.Trace) {
-    const RegionConfig &Chosen = Result.Accepted ? *Result.Accepted : Current;
+    const bool Changed = Result.Outcome == StepOutcome::Accepted;
+    const RegionConfig &Chosen = Changed ? *Result.Proposal : Current;
     Ctx.Trace->recordAt(Ctx.NowSeconds, TraceKind::Decision, M.name(),
-                        totalThreads(Region, Chosen),
-                        Result.Accepted ? 1.0 : 0.0, toString(Region, Chosen));
+                        totalThreads(Region, Chosen), Changed ? 1.0 : 0.0,
+                        toString(Region, Chosen));
   }
   return Result;
 }

@@ -28,13 +28,21 @@ namespace dope {
 inline constexpr unsigned NoThreadCeiling =
     std::numeric_limits<unsigned>::max();
 
+/// What one consult did with the running configuration.
+enum class StepOutcome {
+  Kept,        ///< No proposal, or one equal to the running config.
+  Accepted,    ///< The proposal is the config to switch to.
+  Invalid,     ///< The proposal failed validateConfig: a mechanism bug.
+  OverCeiling, ///< The proposal's totalThreads exceeded the ceiling.
+};
+
 struct ControlStepResult {
-  /// The configuration to switch to; empty when the running one stays.
-  std::optional<RegionConfig> Accepted;
-  /// The proposal failed validateConfig: a mechanism bug hosts count.
-  bool Invalid = false;
-  /// Why a proposal was refused; empty unless one was.
-  std::string Refusal;
+  StepOutcome Outcome = StepOutcome::Kept;
+  /// The mechanism's proposal unless Outcome is Kept: the config to apply
+  /// when Accepted, the refused one otherwise.
+  std::optional<RegionConfig> Proposal;
+  /// validateConfig's error when Outcome is Invalid.
+  std::string Error;
 };
 
 /// Consults \p M once. No proposal, or one equal to \p Current, keeps

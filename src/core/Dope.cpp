@@ -387,7 +387,7 @@ const TaskMetrics *Dope::metricsForIfPresent(const Task &T) const {
 RegionSnapshot Dope::snapshot() const {
   const RegionConfig Config = currentConfig();
   return snapshotRegion(*Root, &Config.Tasks,
-                        [this](const Task &T, TaskSnapshot &TS) {
+                        [this](const Task &T, size_t, TaskSnapshot &TS) {
                           const TaskMetrics *M = metricsForIfPresent(T);
                           if (!M)
                             return;
@@ -751,14 +751,19 @@ void Dope::runController() {
     Ctx.Trace = Trace;
 
     const RegionConfig Current = currentConfig();
+    const unsigned Envelope = threadEnvelope();
     ControlStepResult Step = controlStep(*Options.Mech, *Root, snapshot(),
-                                         Current, Ctx, threadEnvelope());
-    if (!Step.Refusal.empty())
-      DOPE_LOG_WARN("mechanism '%s' %s", Options.Mech->name().c_str(),
-                    Step.Refusal.c_str());
-    if (!Step.Accepted)
+                                         Current, Ctx, Envelope);
+    if (Step.Outcome == StepOutcome::Invalid)
+      DOPE_LOG_WARN("mechanism '%s' produced invalid config: %s",
+                    Options.Mech->name().c_str(), Step.Error.c_str());
+    else if (Step.Outcome == StepOutcome::OverCeiling)
+      DOPE_LOG_WARN("mechanism '%s' exceeded thread envelope (%u > %u)",
+                    Options.Mech->name().c_str(),
+                    totalThreads(*Root, *Step.Proposal), Envelope);
+    if (Step.Outcome != StepOutcome::Accepted)
       continue;
-    const RegionConfig &Next = *Step.Accepted;
+    const RegionConfig &Next = *Step.Proposal;
 
     {
       std::lock_guard<std::mutex> Lock(ConfigMutex);

@@ -404,7 +404,7 @@ ReplayMechanismHarness::buildSnapshot(const ReplayStep &Step,
   }
 
   return snapshotRegion(*Root, &Current.Tasks,
-                        [&](const Task &T, TaskSnapshot &TS) {
+                        [&](const Task &T, size_t, TaskSnapshot &TS) {
     auto It = ById.find(T.id());
     if (It == ById.end())
       return;
@@ -468,13 +468,12 @@ ReplayResult ReplayMechanismHarness::run(Mechanism &M, Tracer *Trace) {
 
     ControlStepResult Outcome =
         controlStep(M, *Root, Snap, Current, Ctx, Envelope);
-    Result.InvalidProposals += Outcome.Invalid;
-    Result.OverEnvelopeProposals +=
-        !Outcome.Invalid && !Outcome.Refusal.empty();
-    if (!Outcome.Accepted)
+    Result.InvalidProposals += Outcome.Outcome == StepOutcome::Invalid;
+    Result.OverEnvelopeProposals += Outcome.Outcome == StepOutcome::OverCeiling;
+    if (Outcome.Outcome != StepOutcome::Accepted)
       continue;
 
-    Current = std::move(*Outcome.Accepted);
+    Current = std::move(*Outcome.Proposal);
     ReplayDecision D;
     D.Step = I;
     D.Time = Step.Time;

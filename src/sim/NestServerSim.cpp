@@ -190,7 +190,7 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
 
     if (Mech) {
       const RegionSnapshot Snap = snapshotRegion(
-          *Root, &Config.Tasks, [&](const Task &T, TaskSnapshot &TS) {
+          *Root, &Config.Tasks, [&](const Task &T, size_t, TaskSnapshot &TS) {
             TS.Invocations = Completed;
             if (&T != OuterTask) {
               TS.ExecTime = ExecTimeEma.value() / static_cast<double>(InnerM);
@@ -210,9 +210,9 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
       // contexts and holds no lease (see NoThreadCeiling).
       ControlStepResult Step =
           controlStep(*Mech, *Root, Snap, Config, Ctx, NoThreadCeiling);
-      Result.InvalidProposals += Step.Invalid;
-      if (Step.Accepted) {
-        Config = std::move(*Step.Accepted);
+      Result.InvalidProposals += Step.Outcome == StepOutcome::Invalid;
+      if (Step.Outcome == StepOutcome::Accepted) {
+        Config = std::move(*Step.Proposal);
         OuterK = serverOuterExtent(Config);
         InnerM = serverInnerExtent(Config);
         ++Result.Reconfigurations;

@@ -433,12 +433,12 @@ private:
     const std::vector<Task *> &Active =
         Driver.descriptor()->alternative(ActiveAlt)->tasks();
     return snapshotRegion(Root, &Config.Tasks,
-                          [&](const Task &T, TaskSnapshot &TS) {
+                          [&](const Task &T, size_t S, TaskSnapshot &TS) {
       if (&T == &Driver)
         TS.Invocations = ItemsDone;
-      const size_t S =
-          std::find(Active.begin(), Active.end(), &T) - Active.begin();
-      if (S >= Metrics.size())
+      // Stage S of the active alternative; the same position in another
+      // alternative is a different task and stays unmeasured.
+      if (S >= Metrics.size() || Active[S] != &T)
         return;
       TS.ExecTime = Metrics[S].ExecTime.value();
       TS.Load = Metrics[S].Load.value();
@@ -535,9 +535,9 @@ private:
       const RegionConfig Config = currentConfig();
       ControlStepResult Step = controlStep(*Mech, Root, buildSnapshot(Config),
                                            Config, Ctx, NoThreadCeiling);
-      InvalidProposals += Step.Invalid;
-      if (Step.Accepted)
-        applyConfig(*Step.Accepted);
+      InvalidProposals += Step.Outcome == StepOutcome::Invalid;
+      if (Step.Outcome == StepOutcome::Accepted)
+        applyConfig(*Step.Proposal);
     }
     Events.scheduleAfter(Opts.DecisionIntervalSeconds,
                          [this] { decisionTick(); });

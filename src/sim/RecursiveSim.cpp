@@ -109,7 +109,7 @@ RecursiveSimResult RecursiveSim::run(Mechanism *Mech, unsigned InitialGrain,
     // Snapshot + features, exactly as the native TreeEngine exports
     // them, then one consult at the epoch boundary.
     const RegionSnapshot Snap = snapshotRegion(
-        *Root, &Current.Tasks, [&E](const Task &, TaskSnapshot &TS) {
+        *Root, &Current.Tasks, [&E](const Task &, size_t, TaskSnapshot &TS) {
           TS.ExecTime = E.PerTaskSeconds;
           TS.Load = E.MeanOutstanding;
           TS.LastLoad = E.MeanOutstanding;
@@ -132,10 +132,10 @@ RecursiveSimResult RecursiveSim::run(Mechanism *Mech, unsigned InitialGrain,
     // contexts and holds no lease (see NoThreadCeiling).
     ControlStepResult Step =
         controlStep(*Mech, *Root, Snap, Current, Ctx, NoThreadCeiling);
-    Result.InvalidProposals += Step.Invalid;
-    if (!Step.Accepted)
+    Result.InvalidProposals += Step.Outcome == StepOutcome::Invalid;
+    if (Step.Outcome != StepOutcome::Accepted)
       continue;
-    Current = std::move(*Step.Accepted);
+    Current = std::move(*Step.Proposal);
     ++Result.Reconfigurations;
     Clock += Opts.ReconfigPauseSeconds;
     Result.DecisionLog.push_back(std::to_string(Epoch) + ": " +

@@ -108,17 +108,15 @@ void expectDecision(const StepRun &Run, double Threads, double Accepted,
 
 TEST(ControlStep, NoProposalKeepsTheRunningConfig) {
   const StepRun Run = runStep(std::nullopt, 8);
-  EXPECT_FALSE(Run.Result.Accepted.has_value());
-  EXPECT_FALSE(Run.Result.Invalid);
-  EXPECT_TRUE(Run.Result.Refusal.empty());
+  EXPECT_EQ(Run.Result.Outcome, StepOutcome::Kept);
+  EXPECT_FALSE(Run.Result.Proposal.has_value());
   expectDecision(Run, 8.0, 0.0, nestConfig(4, 2));
 }
 
 TEST(ControlStep, EqualProposalIsNoChange) {
   const StepRun Run = runStep(nestConfig(4, 2), 8);
-  EXPECT_FALSE(Run.Result.Accepted.has_value());
-  EXPECT_FALSE(Run.Result.Invalid);
-  EXPECT_TRUE(Run.Result.Refusal.empty());
+  EXPECT_EQ(Run.Result.Outcome, StepOutcome::Kept);
+  EXPECT_FALSE(Run.Result.Proposal.has_value());
   expectDecision(Run, 8.0, 0.0, nestConfig(4, 2));
 }
 
@@ -127,35 +125,31 @@ TEST(ControlStep, InvalidProposalIsRefusedAndFlagged) {
   WrongArity.Tasks.push_back(WrongArity.Tasks.front());
   // Invalid is checked before the ceiling: this proposal is both.
   const StepRun Run = runStep(WrongArity, 1);
-  EXPECT_FALSE(Run.Result.Accepted.has_value());
-  EXPECT_TRUE(Run.Result.Invalid);
-  EXPECT_EQ(Run.Result.Refusal,
-            "produced invalid config: region config arity mismatch");
+  EXPECT_EQ(Run.Result.Outcome, StepOutcome::Invalid);
+  EXPECT_TRUE(Run.Result.Proposal == WrongArity);
+  EXPECT_EQ(Run.Result.Error, "region config arity mismatch");
   expectDecision(Run, 8.0, 0.0, nestConfig(4, 2));
 }
 
 TEST(ControlStep, ProposalOverTheCeilingIsRefused) {
   const StepRun Run = runStep(nestConfig(5, 2), 8);
-  EXPECT_FALSE(Run.Result.Accepted.has_value());
-  EXPECT_FALSE(Run.Result.Invalid);
-  EXPECT_EQ(Run.Result.Refusal, "exceeded thread envelope (10 > 8)");
+  EXPECT_EQ(Run.Result.Outcome, StepOutcome::OverCeiling);
+  EXPECT_TRUE(Run.Result.Proposal == nestConfig(5, 2));
+  EXPECT_TRUE(Run.Result.Error.empty());
   expectDecision(Run, 8.0, 0.0, nestConfig(4, 2));
 }
 
 TEST(ControlStep, ProposalAtTheCeilingIsAccepted) {
   const StepRun Run = runStep(nestConfig(2, 4), 8);
-  ASSERT_TRUE(Run.Result.Accepted.has_value());
-  EXPECT_TRUE(*Run.Result.Accepted == nestConfig(2, 4));
-  EXPECT_TRUE(Run.Result.Refusal.empty());
+  EXPECT_EQ(Run.Result.Outcome, StepOutcome::Accepted);
+  EXPECT_TRUE(Run.Result.Proposal == nestConfig(2, 4));
   expectDecision(Run, 8.0, 1.0, nestConfig(2, 4));
 }
 
 TEST(ControlStep, NoCeilingAcceptsOversubscription) {
   const StepRun Run = runStep(nestConfig(5, 2), NoThreadCeiling);
-  ASSERT_TRUE(Run.Result.Accepted.has_value());
-  EXPECT_TRUE(*Run.Result.Accepted == nestConfig(5, 2));
-  EXPECT_FALSE(Run.Result.Invalid);
-  EXPECT_TRUE(Run.Result.Refusal.empty());
+  EXPECT_EQ(Run.Result.Outcome, StepOutcome::Accepted);
+  EXPECT_TRUE(Run.Result.Proposal == nestConfig(5, 2));
   expectDecision(Run, 10.0, 1.0, nestConfig(5, 2));
 }
 
@@ -167,8 +161,8 @@ TEST(ControlStep, UntracedStepStillDecides) {
   const ControlStepResult R =
       controlStep(M, *G.Root, makeServerSnapshot(G, 1.0, 4, 2),
                   nestConfig(4, 2), Ctx, 8);
-  ASSERT_TRUE(R.Accepted.has_value());
-  EXPECT_TRUE(*R.Accepted == nestConfig(2, 2));
+  EXPECT_EQ(R.Outcome, StepOutcome::Accepted);
+  EXPECT_TRUE(R.Proposal == nestConfig(2, 2));
 }
 
 //===----------------------------------------------------------------------===//

@@ -304,6 +304,7 @@ TEST(GrainAdapt, HarnessReplayIsDeterministic) {
   const ReplayResult B = RunOnce();
 
   EXPECT_EQ(A.InvalidProposals, 0u);
+  EXPECT_EQ(A.OverEnvelopeProposals, 0u);
   ASSERT_EQ(A.Decisions.size(), 3u); // double, double, halve
   EXPECT_NE(A.Decisions[0].Config.find("g=128"), std::string::npos);
   EXPECT_NE(A.Decisions[1].Config.find("g=256"), std::string::npos);

@@ -432,6 +432,9 @@ FeatureStream randomNestStream(Rng &R, unsigned &LiveOut) {
 void expectBudgetDiscipline(const ReplayResult &Result, unsigned Live,
                             const std::string &Who) {
   EXPECT_EQ(Result.InvalidProposals, 0u) << Who;
+  // Replay refuses a proposal above the step envelope and records only
+  // accepted ones, so the per-decision checks below cannot see it.
+  EXPECT_EQ(Result.OverEnvelopeProposals, 0u) << Who;
   for (const ReplayDecision &D : Result.Decisions) {
     // The budget the harness recorded is the one the stream pinned.
     EXPECT_EQ(D.Budget, Live) << Who << " decision at step " << D.Step;
@@ -539,6 +542,7 @@ TEST_P(TpcPowerProperty, NeverGrowsUnderOvershootAndSettlesWithinCap) {
 
   const ReplayResult Result = Harness.run(Tpc);
   EXPECT_EQ(Result.InvalidProposals, 0u);
+  EXPECT_EQ(Result.OverEnvelopeProposals, 0u);
   EXPECT_FALSE(Result.Decisions.empty());
 
   auto ModelWatts = [&](unsigned Threads) {
